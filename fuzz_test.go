@@ -1,11 +1,12 @@
-// Native fuzz targets for every text format the CLIs parse from user
-// input: workload specs (YAML and JSON), arrival traces, fleet event
-// schedules and machine-mix strings. The contract under fuzzing is
-// uniform — a parser either succeeds or returns an error; it never
-// panics — and successful parses must satisfy the format's own
-// invariants (a reparse of a successful parse cannot fail). Seed
-// corpora come from the shipped example specs and the flag syntax the
-// documentation advertises.
+// Native fuzz targets for every format the CLIs read from user input:
+// workload specs (YAML and JSON), arrival traces, fleet event
+// schedules, machine-mix strings and cluster checkpoints. The contract
+// under fuzzing is uniform — a reader either succeeds or returns an
+// error; it never panics — and successful parses must satisfy the
+// format's own invariants (a reparse of a successful parse cannot fail;
+// an accepted checkpoint resumes to a result or an error). Seed corpora
+// come from the shipped example specs, the flag syntax the
+// documentation advertises and a checkpoint of a small lifecycle run.
 //
 // CI runs these with a short -fuzztime as a smoke test; run them longer
 // locally with e.g.:
@@ -15,12 +16,24 @@ package lfoc_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	lfoc "github.com/faircache/lfoc"
+	"github.com/faircache/lfoc/internal/appmodel"
+	"github.com/faircache/lfoc/internal/cluster"
 	"github.com/faircache/lfoc/internal/harness"
+	"github.com/faircache/lfoc/internal/machine"
+	"github.com/faircache/lfoc/internal/policy"
+	"github.com/faircache/lfoc/internal/profiles"
+	"github.com/faircache/lfoc/internal/sim"
+	"github.com/faircache/lfoc/internal/sim/scenario"
 	"github.com/faircache/lfoc/internal/workloads"
 )
 
@@ -107,6 +120,87 @@ func FuzzParseMachineMix(f *testing.F) {
 			if mc.Plat == nil || mc.Plat.Ways <= 0 || mc.Plat.Cores <= 0 {
 				t.Fatalf("accepted machine %d with invalid platform", i)
 			}
+		}
+	})
+}
+
+// fuzzCheckpointRun is the small lifecycle run FuzzReadCheckpoint
+// checkpoints and resumes: two machines, a drain, a join and a seeded
+// MTBF process over a one-second Poisson trace.
+func fuzzCheckpointRun(tb testing.TB) (cluster.Config, *scenario.Open, func(int) (sim.Dynamic, error)) {
+	plat := machine.Small(8, 4)
+	stock := func(int) (sim.Dynamic, error) { return policy.NewStockDynamic(plat.Ways), nil }
+	cfg := cluster.Config{
+		Sim:       sim.Config{Plat: plat, TargetInsns: 500_000_000, PolicyPeriod: 100 * time.Millisecond},
+		Machines:  2,
+		Placement: cluster.NewRoundRobin(),
+		Workers:   1,
+		Lifecycle: &cluster.Lifecycle{
+			Events: []cluster.Event{
+				{Time: 0.3, Kind: cluster.MachineDrain, Machine: 1},
+				{Time: 0.5, Kind: cluster.MachineJoin},
+			},
+			MTBF:        0.8,
+			FailureSeed: 5,
+			JoinPolicy:  func(i int, _ sim.Config) (sim.Dynamic, error) { return stock(i) },
+		},
+		RecordAssignments: true,
+	}
+	specs := []*appmodel.Spec{profiles.MustGet("xalancbmk06"), profiles.MustGet("lbm06"), profiles.MustGet("povray06")}
+	scn, err := scenario.NewPoisson("fuzz-ckpt", specs, 8, 1, 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cfg, scn, stock
+}
+
+// wrapCheckpointPayload frames payload bytes as a checkpoint file with a
+// matching checksum, so mutations reach the payload decoder and the
+// resume path instead of stopping at the checksum.
+func wrapCheckpointPayload(payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return []byte(fmt.Sprintf(`{"magic":"lfoc-checkpoint","version":%d,"sha256":%q,"payload":%s}`,
+		cluster.CheckpointVersion, hex.EncodeToString(sum[:]), payload))
+}
+
+func FuzzReadCheckpoint(f *testing.F) {
+	cfg, scn, factory := fuzzCheckpointRun(f)
+	path := filepath.Join(f.TempDir(), "seed.ckpt")
+	cfg.StopAfter = 0.6
+	cfg.Checkpoint = &cluster.CheckpointConfig{Path: path, Every: 0.2}
+	if _, err := cluster.Run(cfg, scn, factory); err != nil {
+		f.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var wrapper struct {
+		Payload json.RawMessage `json:"payload"`
+	}
+	if err := json.Unmarshal(file, &wrapper); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file, false)
+	f.Add([]byte(wrapper.Payload), true)
+	f.Add([]byte(`{}`), true)
+	f.Fuzz(func(t *testing.T, data []byte, wrap bool) {
+		if wrap {
+			data = wrapCheckpointPayload(data)
+		}
+		p := filepath.Join(t.TempDir(), "fuzz.ckpt")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := cluster.ReadCheckpoint(p)
+		if err != nil {
+			return
+		}
+		cfg, scn, factory := fuzzCheckpointRun(t)
+		cfg.Resume = ck
+		res, err := cluster.Run(cfg, scn, factory)
+		if err == nil && res == nil {
+			t.Fatal("resume returned neither a result nor an error")
 		}
 	})
 }

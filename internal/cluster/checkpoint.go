@@ -1,8 +1,8 @@
 // Checkpoint/resume: the serialized coordinate of a paused cluster run.
 //
 // A checkpoint is taken only at an arrival-boundary pause point — the
-// top of the per-arrival loop (or of the lifecycle engine's merged
-// event/arrival loop), before anything at that instant was processed.
+// top of the engine's merged event/arrival loop, before anything at
+// that instant was processed.
 // The payload composes the per-machine sim.MachineSnapshots with the
 // cluster layer's own coordinate: the next trace-arrival index, the
 // per-machine placement counts, the placement policy's state, and (for
@@ -56,7 +56,9 @@ type CheckpointConfig struct {
 }
 
 // CheckpointFormatError reports a file that is not a checkpoint (bad
-// magic, malformed JSON) or whose version this binary does not speak.
+// magic, malformed JSON), whose version this binary does not speak, or
+// whose contents cannot describe the run resuming it (an assignment log
+// that does not match the resumed run's).
 type CheckpointFormatError struct {
 	Path   string
 	Reason string
@@ -97,8 +99,9 @@ type checkpointPayload struct {
 	NextArrival int    `json:"next_arrival"`
 	// Placed is the per-machine placement count (len == len(Machines)).
 	Placed []int `json:"placed"`
-	// Assignments is the per-trace-arrival machine log; present only
-	// when the run recorded assignments.
+	// Assignments is the per-trace-arrival machine log, one slot per
+	// trace arrival (-1 = not placed yet); present only when the run
+	// recorded assignments.
 	Assignments []int `json:"assignments,omitempty"`
 	// PlacementState is the placement policy's PlacementSnapshot payload.
 	PlacementState json.RawMessage `json:"placement_state,omitempty"`
@@ -112,6 +115,7 @@ type checkpointPayload struct {
 // Checkpoint is a decoded, checksum-verified checkpoint, ready to hand
 // to Config.Resume.
 type Checkpoint struct {
+	path    string // the file it was read from, for typed resume errors
 	payload checkpointPayload
 }
 
@@ -176,7 +180,7 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	if got := hex.EncodeToString(sum[:]); got != f.SHA256 {
 		return nil, &CheckpointChecksumError{Path: path, Want: f.SHA256, Got: got}
 	}
-	ck := &Checkpoint{}
+	ck := &Checkpoint{path: path}
 	if err := json.Unmarshal(f.Payload, &ck.payload); err != nil {
 		return nil, &CheckpointFormatError{Path: path, Reason: fmt.Sprintf("malformed payload: %v", err)}
 	}
@@ -188,12 +192,19 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, &CheckpointFormatError{Path: path,
 			Reason: fmt.Sprintf("negative next-arrival index %d", ck.payload.NextArrival)}
 	}
+	for i, m := range ck.payload.Assignments {
+		if m < -1 || m >= len(ck.payload.Machines) {
+			return nil, &CheckpointFormatError{Path: path,
+				Reason: fmt.Sprintf("arrival %d assigned to machine %d of %d", i, m, len(ck.payload.Machines))}
+		}
+	}
 	return ck, nil
 }
 
-// captureCheckpoint assembles the payload at an arrival-boundary pause
-// point. eng is nil for lifecycle-free runs.
-func captureCheckpoint(cfg *Config, scnName string, pool *fleetPool, nextArrival int, placed, assignments []int, eng *engine) (*checkpointPayload, error) {
+// captureCheckpoint assembles the engine's payload at an
+// arrival-boundary pause point.
+func captureCheckpoint(e *engine) (*checkpointPayload, error) {
+	cfg := e.cfg
 	ps, ok := cfg.Placement.(PlacementSnapshotter)
 	if !ok { // validated up-front; defensive here
 		return nil, &sim.SnapshotUnsupportedError{What: fmt.Sprintf("placement policy %T", cfg.Placement)}
@@ -203,23 +214,23 @@ func captureCheckpoint(cfg *Config, scnName string, pool *fleetPool, nextArrival
 		return nil, fmt.Errorf("cluster: snapshot placement: %w", err)
 	}
 	p := &checkpointPayload{
-		Scenario:       scnName,
+		Scenario:       e.scn.Name(),
 		Placement:      cfg.Placement.Name(),
-		NextArrival:    nextArrival,
-		Placed:         append([]int(nil), placed...),
-		Assignments:    append([]int(nil), assignments...),
+		NextArrival:    e.ai,
+		Placed:         append([]int(nil), e.placed...),
+		Assignments:    append([]int(nil), e.assignments...),
 		PlacementState: pstate,
-		Machines:       make([]*sim.MachineSnapshot, len(pool.machines)),
+		Machines:       make([]*sim.MachineSnapshot, len(e.pool.machines)),
 	}
-	for i, m := range pool.machines {
+	for i, m := range e.pool.machines {
 		snap, err := m.Snapshot()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: machine %d: %w", i, err)
 		}
 		p.Machines[i] = snap
 	}
-	if eng != nil {
-		p.Lifecycle = eng.snapshot()
+	if e.lc.active() {
+		p.Lifecycle = e.snapshot()
 	}
 	return p, nil
 }

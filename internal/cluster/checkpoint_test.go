@@ -270,6 +270,22 @@ func TestReadCheckpointTypedErrors(t *testing.T) {
 	if _, err := cluster.ReadCheckpoint(write("tampered", tampered)); !errors.As(err, &cerr) {
 		t.Errorf("tampered payload: %v, want *CheckpointChecksumError", err)
 	}
+
+	// The checkpointed run kept no assignment log, so a resume that
+	// records one cannot fill the slots before the pause point: a typed
+	// error, not a silently partial log.
+	ck, err := cluster.ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = cluster.Run(cluster.Config{
+		Sim: clusterSimConfig(plat), Machines: 2,
+		Placement: cluster.NewRoundRobin(), Workers: 1,
+		RecordAssignments: true, Resume: ck,
+	}, ckptScn(t), stockFactory(plat))
+	if !errors.As(err, &ferr) {
+		t.Errorf("resume recording assignments from a log-free checkpoint: %v, want *CheckpointFormatError", err)
+	}
 }
 
 // Checkpointing is validated up-front: a placement policy or a

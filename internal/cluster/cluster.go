@@ -25,21 +25,23 @@
 // into the chosen machine. Skipped machines catch up lazily in one
 // batched call when next touched, so a mostly idle 1000-machine fleet
 // pays per-arrival work proportional to the machines with something to
-// do, not to the fleet size — while staying bit-identical to the eager
-// every-machine-every-arrival loop (the kernel's pause-point invariance
+// do, not to the fleet size — while staying bit-identical to advancing
+// every machine at every arrival (the kernel's pause-point invariance
 // makes coarser pause points unobservable; pinned by a randomized
-// differential test). Machines share nothing between placement points,
-// so the advancement fans out over a bounded worker pool
-// (Config.Workers); placement itself stays serial — it is the only
-// synchronization point — and results are bit-identical for every
-// worker count and GOMAXPROCS setting. When the trace is exhausted the
-// machines drain through the same pool.
+// differential test against the queue's eager mode). One loop, the
+// engine in lifecycle.go, drives every run: a run without lifecycle
+// events is the same loop over an empty event timeline. Machines share
+// nothing between placement points, so the advancement fans out over a
+// bounded worker pool (Config.Workers); placement itself stays serial —
+// it is the only synchronization point — and results are bit-identical
+// for every worker count and GOMAXPROCS setting. When the trace is
+// exhausted the machines drain through the same pool.
 //
 // For placement policies that declare order-independence
 // (ShardablePlacement: round-robin, least-loaded), Config.Shards
 // additionally splits the arrival stream and the fleet into disjoint
-// sub-fleets that run concurrently with no synchronization at all —
-// see shard.go.
+// sub-fleets, each driven by its own engine, that run concurrently with
+// no synchronization at all — see shard.go.
 package cluster
 
 import (
@@ -84,9 +86,9 @@ type Config struct {
 	Workers int
 	// Lifecycle, when set and carrying events (scheduled, MTBF or
 	// autoscale), runs the machine lifecycle layer: a deterministic
-	// event timeline interleaved with the arrival stream. Nil or empty
-	// is guaranteed zero-cost — Run takes the historical path and
-	// produces byte-identical results.
+	// event timeline interleaved with the arrival stream. Nil or
+	// event-free is simply an empty timeline — the run loop is the same
+	// and the result carries no lifecycle fields.
 	Lifecycle *Lifecycle
 	// RecordAssignments keeps the full per-arrival placement log in
 	// Result.Assignments. Off by default: the log is O(arrivals) memory
@@ -134,18 +136,19 @@ type Config struct {
 	// with Interrupted set, exactly as StopAfter does.
 	Cancel *sim.CancelFlag
 
-	// Testing knobs (internal tests only). eagerAdvance restores the
-	// legacy every-machine-every-arrival advancement loop — the
-	// reference the lazy fleet event queue is differentially tested
-	// against. statsSink, when set, receives the advancement counters
-	// after the run.
+	// Testing knobs (internal tests only). eagerAdvance puts the fleet
+	// event queue in its eager mode, where every machine is due at every
+	// synchronization instant — the every-machine-every-arrival
+	// reference the lazy queue is differentially tested against.
+	// statsSink, when set, accumulates the advancement counters after
+	// the run.
 	eagerAdvance bool
 	statsSink    *fleetStats
 }
 
 // fleetStats counts the fleet-advancement work a run performed — the
 // evidence behind the fleet event queue's headline claim (advancing
-// ~10× fewer machine-steps per arrival than the eager loop on sparse
+// ~10× fewer machine-steps per arrival than its eager mode on sparse
 // fleets). Internal: reachable only through Config.statsSink.
 type fleetStats struct {
 	// Advances counts machine advancement calls (AdvanceTo jobs
@@ -245,7 +248,9 @@ type Result struct {
 	Machines  int    `json:"machines"`
 	// Assignments maps each trace arrival (in trace order) to the
 	// machine that received it — the placement decision record, and the
-	// input to workloads.SplitArrivals for replaying machines solo.
+	// input to workloads.SplitArrivals for replaying machines solo. A
+	// slot is -1 for an arrival that was never placed: parked with no
+	// machine up, or beyond the pause point of an interrupted run.
 	// Recorded only when Config.RecordAssignments is set (it is
 	// O(arrivals) memory); nil — and omitted from JSON — otherwise.
 	Assignments []int `json:"assignments,omitempty"`
@@ -297,7 +302,6 @@ func Run(cfg Config, scn *scenario.Open, newPolicy func(machine int) (sim.Dynami
 	if err != nil {
 		return nil, err
 	}
-	nMachines := len(sims)
 	if cfg.Placement == nil {
 		return nil, fmt.Errorf("cluster: no placement policy")
 	}
@@ -345,287 +349,137 @@ func Run(cfg Config, scn *scenario.Open, newPolicy func(machine int) (sim.Dynami
 		sims[i].Cancel = cfg.Cancel
 	}
 
-	var resume *checkpointPayload
+	var (
+		machines []*sim.OpenMachine
+		states   []MachineState
+		placed   []int
+	)
 	if cfg.Resume != nil {
-		resume = &cfg.Resume.payload
-	}
-	startArrival := 0
-	var machines []*sim.OpenMachine
-	var placed []int
-	var states []MachineState
-	if resume != nil {
-		if resume.Scenario != scn.Name() {
-			return nil, fmt.Errorf("cluster: checkpoint is of scenario %q, resuming %q", resume.Scenario, scn.Name())
-		}
-		if resume.Placement != cfg.Placement.Name() {
-			return nil, fmt.Errorf("cluster: checkpoint used placement %q, resuming with %q", resume.Placement, cfg.Placement.Name())
-		}
-		if resume.NextArrival > len(arrivals) {
-			return nil, fmt.Errorf("cluster: checkpoint processed %d arrivals, trace has %d — resume must use the original trace",
-				resume.NextArrival, len(arrivals))
-		}
-		lcActive := cfg.Lifecycle.active()
-		if (resume.Lifecycle != nil) != lcActive {
-			return nil, fmt.Errorf("cluster: checkpoint and resume disagree on the lifecycle layer — resume must use the original config")
-		}
-		n := len(resume.Machines)
-		if n < nMachines || (!lcActive && n != nMachines) {
-			return nil, fmt.Errorf("cluster: checkpoint holds %d machines, config says %d", n, nMachines)
-		}
-		machines = make([]*sim.OpenMachine, n)
-		placed = append([]int(nil), resume.Placed...)
-		for i := range machines {
-			mc := sims[0]
-			var pol sim.Dynamic
-			if i < nMachines {
-				mc = sims[i]
-				pol, err = newPolicy(i)
-			} else {
-				// Machines beyond the initial fleet joined mid-run; they
-				// run machine 0's configuration (checkpointing rejects
-				// per-event join configs) under a JoinPolicy-built policy.
-				if cfg.Lifecycle.JoinPolicy == nil {
-					return nil, fmt.Errorf("cluster: checkpoint holds joined machine %d but Lifecycle.JoinPolicy is nil", i)
-				}
-				pol, err = cfg.Lifecycle.JoinPolicy(i, mc)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("cluster: machine %d policy: %w", i, err)
-			}
-			m, err := sim.RestoreMachine(mc, pol, resume.Machines[i])
-			if err != nil {
-				return nil, fmt.Errorf("cluster: machine %d: %w", i, err)
-			}
-			machines[i] = m
-		}
-		if err := cfg.Placement.(PlacementSnapshotter).PlacementRestore(resume.PlacementState); err != nil {
-			return nil, err
-		}
-		startArrival = resume.NextArrival
-		// Placement-visible states refresh at the first synchronization
-		// (the restored fleet queue makes every machine due immediately).
-		states = make([]MachineState, n)
-		for i := range states {
-			states[i] = MachineState{Index: i, Cores: machines[i].Cores(), Plat: machines[i].Platform()}
-		}
+		machines, states, placed, err = resumeFleet(&cfg, scn, sims, len(arrivals), newPolicy)
 	} else {
-		states = make([]MachineState, nMachines)
-		for i := range states {
-			states[i] = MachineState{Index: i, Cores: sims[i].Plat.Cores, Plat: sims[i].Plat}
-		}
-		perMachineInitial, err := placeInitial(cfg.Placement, initial, states)
-		if err != nil {
-			return nil, err
-		}
-		machines = make([]*sim.OpenMachine, nMachines)
-		placed = make([]int, nMachines)
-		for i := range machines {
-			pol, err := newPolicy(i)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: machine %d policy: %w", i, err)
-			}
-			if ckptActive {
-				if _, ok := pol.(sim.PolicySnapshotter); !ok {
-					return nil, &sim.SnapshotUnsupportedError{What: fmt.Sprintf("partitioning policy %T", pol)}
-				}
-			}
-			m, err := sim.NewOpenMachine(sims[i], pol, scn.Name(), perMachineInitial[i], scn.Horizon())
-			if err != nil {
-				return nil, fmt.Errorf("cluster: machine %d: %w", i, err)
-			}
-			machines[i] = m
-			placed[i] = len(perMachineInitial[i])
-		}
+		machines, states, placed, err = newFleet(cfg.Placement, scn, initial, sims, newPolicy, ckptActive)
 	}
-
-	pool := newFleetPool(machines, states, cfg.Workers)
-	defer pool.close()
-	defer pool.reportStats(cfg.statsSink)
-
-	// The fleet event queue drives lazy advancement (the default); with
-	// the eagerAdvance knob it stays nil and every synchronization
-	// instant advances the whole fleet — the bit-identical reference
-	// path the differential tests compare against.
-	var q *fleetQueue
-	if !cfg.eagerAdvance {
-		q = newFleetQueue(len(machines))
-		pool.horizons = q.horizon
-	}
-
-	// Lifecycle path: the engine interleaves the event timeline with
-	// the arrival stream. Gated so a lifecycle-free run pays nothing
-	// and takes the exact historical loop below.
-	if cfg.Lifecycle.active() {
-		eng, err := newEngine(&cfg, cfg.Lifecycle, scn, sims, pool, placed, len(arrivals))
-		if err != nil {
-			return nil, err
-		}
-		eng.q = q
-		eng.cancel = cfg.Cancel
-		eng.stopAfter = cfg.StopAfter
-		eng.ai = startArrival
-		if cfg.Checkpoint != nil {
-			eng.ckptEvery = cfg.Checkpoint.Every
-			eng.save = func() error {
-				p, err := captureCheckpoint(&cfg, scn.Name(), pool, eng.ai, eng.placed, eng.assignments, eng)
-				if err != nil {
-					return err
-				}
-				return writeCheckpointPayload(cfg.Checkpoint.Path, p)
-			}
-		}
-		if err := eng.schedule(arrivals); err != nil {
-			return nil, err
-		}
-		if resume != nil {
-			if err := eng.restore(resume.Lifecycle); err != nil {
-				return nil, err
-			}
-			if eng.assignments != nil && len(resume.Assignments) == len(eng.assignments) {
-				copy(eng.assignments, resume.Assignments)
-			}
-		}
-		if err := eng.run(arrivals); err != nil {
-			return nil, err
-		}
-		interrupted := eng.interrupted
-		if !interrupted {
-			if q != nil {
-				if err := pool.alignClocks(eng.lastSync); err != nil {
-					if !errors.Is(err, sim.ErrCanceled) {
-						return nil, err
-					}
-					interrupted = true
-				}
-			}
-		}
-		if !interrupted {
-			if err := pool.drain(); err != nil {
-				if !errors.Is(err, sim.ErrCanceled) {
-					return nil, err
-				}
-				interrupted = true
-			}
-		}
-		if interrupted && eng.save != nil {
-			if err := eng.save(); err != nil {
-				return nil, err
-			}
-		}
-		res, err := buildResult(cfg, scn, pool.machines, eng.placed, eng.assignments, eng)
-		if err != nil {
-			return nil, err
-		}
-		res.Interrupted = interrupted
-		return res, nil
-	}
-
-	// Main loop: catch up the machines whose event horizon has passed
-	// (in parallel — machines share nothing between placement points),
-	// place against the synchronized states, inject serially. Machines
-	// beyond their horizon keep stale state entries whose content is
-	// provably identical to what an advance would refresh, so placement
-	// sees exactly the eager fleet view.
-	var assignments []int
-	if cfg.RecordAssignments {
-		if resume != nil && len(resume.Assignments) > 0 {
-			assignments = append([]int(nil), resume.Assignments...)
-		} else {
-			assignments = make([]int, 0, len(arrivals))
-		}
-	}
-	saveCkpt := func(nextArrival int) error {
-		p, err := captureCheckpoint(&cfg, scn.Name(), pool, nextArrival, placed, assignments, nil)
-		if err != nil {
-			return err
-		}
-		return writeCheckpointPayload(cfg.Checkpoint.Path, p)
-	}
-	lastCkpt := 0.0
-	if startArrival > 0 {
-		lastCkpt = arrivals[startArrival-1].Time
-	}
-	interrupted := false
-	ai := startArrival
-	for ; ai < len(arrivals); ai++ {
-		arr := arrivals[ai]
-		// The loop top — before anything at this instant is processed —
-		// is the checkpointable coordinate: pause checks and periodic
-		// checkpoints both live here.
-		if cfg.Cancel.Canceled() || (cfg.StopAfter > 0 && arr.Time >= cfg.StopAfter) {
-			interrupted = true
-			break
-		}
-		if cfg.Checkpoint != nil && cfg.Checkpoint.Every > 0 && arr.Time >= lastCkpt+cfg.Checkpoint.Every {
-			if err := saveCkpt(ai); err != nil {
-				return nil, err
-			}
-			lastCkpt = arr.Time
-		}
-		if q != nil {
-			err = pool.advanceDue(q, arr.Time)
-		} else {
-			err = pool.advanceTo(arr.Time)
-		}
-		if err != nil {
-			if errors.Is(err, sim.ErrCanceled) {
-				// Machines paused at tick boundaries mid-advance; the
-				// arrival-loop coordinate has not moved, so the resumed
-				// run re-issues this advance and catches them up.
-				interrupted = true
-				break
-			}
-			return nil, err
-		}
-		idx := cfg.Placement.Place(arr.Spec, arr.Time, states)
-		if err := checkPlaced(cfg.Placement.Name(), idx, nMachines, nil); err != nil {
-			return nil, err
-		}
-		if err := machines[idx].Inject(arr); err != nil {
-			return nil, fmt.Errorf("cluster: machine %d: %w", idx, err)
-		}
-		if q != nil {
-			// The injected arrival is the machine's next event: make it
-			// due no later than its delivery so the admission happens at
-			// the same pause point the eager loop would use.
-			q.touch(idx, arr.Time)
-		}
-		if assignments != nil {
-			assignments = append(assignments, idx)
-		}
-		placed[idx]++
-	}
-
-	// Drain through the same pool: machines are fully independent past
-	// placement. The lazy path first aligns every clock to the last
-	// synchronization instant, where the eager barrier left them.
-	if !interrupted && q != nil && len(arrivals) > 0 {
-		if err := pool.alignClocks(arrivals[len(arrivals)-1].Time); err != nil {
-			if !errors.Is(err, sim.ErrCanceled) {
-				return nil, err
-			}
-			interrupted = true
-		}
-	}
-	if !interrupted {
-		if err := pool.drain(); err != nil {
-			if !errors.Is(err, sim.ErrCanceled) {
-				return nil, err
-			}
-			interrupted = true
-		}
-	}
-	if interrupted && cfg.Checkpoint != nil {
-		if err := saveCkpt(ai); err != nil {
-			return nil, err
-		}
-	}
-	res, err := buildResult(cfg, scn, machines, placed, assignments, nil)
 	if err != nil {
 		return nil, err
 	}
-	res.Interrupted = interrupted
+
+	pool := newFleetPool(machines, states, cfg.Workers, cfg.eagerAdvance)
+	defer pool.close()
+	defer pool.reportStats(cfg.statsSink)
+	eng, err := newEngine(&cfg, scn, sims, pool, placed, arrivals)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Resume != nil {
+		if err := eng.resume(cfg.Resume, arrivals); err != nil {
+			return nil, err
+		}
+	}
+	if err := eng.run(arrivals); err != nil {
+		return nil, err
+	}
+	res, err := buildResult(cfg, scn, pool.machines, eng.placed, eng.assignments, eng)
+	if err != nil {
+		return nil, err
+	}
+	res.Interrupted = eng.interrupted
 	return res, nil
+}
+
+// newFleet builds a fresh fleet: one placement-visible state per
+// machine (Index = position), the time-zero applications routed by
+// placeInitial, and machine i built from sims[i] and newPolicy(i).
+// snapshots requires every partitioning policy to support
+// checkpointing.
+func newFleet(p Policy, scn *scenario.Open, initial []*appmodel.Spec, sims []sim.Config,
+	newPolicy func(int) (sim.Dynamic, error), snapshots bool) ([]*sim.OpenMachine, []MachineState, []int, error) {
+	states := make([]MachineState, len(sims))
+	for i := range states {
+		states[i] = MachineState{Index: i, Cores: sims[i].Plat.Cores, Plat: sims[i].Plat}
+	}
+	perMachineInitial, err := placeInitial(p, initial, states)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	machines := make([]*sim.OpenMachine, len(sims))
+	placed := make([]int, len(sims))
+	for i := range machines {
+		pol, err := newPolicy(i)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("cluster: machine %d policy: %w", i, err)
+		}
+		if snapshots {
+			if _, ok := pol.(sim.PolicySnapshotter); !ok {
+				return nil, nil, nil, &sim.SnapshotUnsupportedError{What: fmt.Sprintf("partitioning policy %T", pol)}
+			}
+		}
+		m, err := sim.NewOpenMachine(sims[i], pol, scn.Name(), perMachineInitial[i], scn.Horizon())
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("cluster: machine %d: %w", i, err)
+		}
+		machines[i] = m
+		placed[i] = len(perMachineInitial[i])
+	}
+	return machines, states, placed, nil
+}
+
+// resumeFleet rebuilds the checkpointed fleet — joined machines
+// included — and restores the placement policy's state. Placement-visible
+// states refresh at the first synchronization: a fresh fleet queue
+// makes every machine due immediately.
+func resumeFleet(cfg *Config, scn *scenario.Open, sims []sim.Config, nArrivals int,
+	newPolicy func(int) (sim.Dynamic, error)) ([]*sim.OpenMachine, []MachineState, []int, error) {
+	resume := &cfg.Resume.payload
+	if resume.Scenario != scn.Name() {
+		return nil, nil, nil, fmt.Errorf("cluster: checkpoint is of scenario %q, resuming %q", resume.Scenario, scn.Name())
+	}
+	if resume.Placement != cfg.Placement.Name() {
+		return nil, nil, nil, fmt.Errorf("cluster: checkpoint used placement %q, resuming with %q", resume.Placement, cfg.Placement.Name())
+	}
+	if resume.NextArrival > nArrivals {
+		return nil, nil, nil, fmt.Errorf("cluster: checkpoint processed %d arrivals, trace has %d — resume must use the original trace",
+			resume.NextArrival, nArrivals)
+	}
+	lcActive := cfg.Lifecycle.active()
+	if (resume.Lifecycle != nil) != lcActive {
+		return nil, nil, nil, fmt.Errorf("cluster: checkpoint and resume disagree on the lifecycle layer — resume must use the original config")
+	}
+	n := len(resume.Machines)
+	if n < len(sims) || (!lcActive && n != len(sims)) {
+		return nil, nil, nil, fmt.Errorf("cluster: checkpoint holds %d machines, config says %d", n, len(sims))
+	}
+	machines := make([]*sim.OpenMachine, n)
+	states := make([]MachineState, n)
+	for i := range machines {
+		mc := sims[0]
+		var pol sim.Dynamic
+		var err error
+		if i < len(sims) {
+			mc = sims[i]
+			pol, err = newPolicy(i)
+		} else {
+			// Machines beyond the initial fleet joined mid-run; they
+			// run machine 0's configuration (checkpointing rejects
+			// per-event join configs) under a JoinPolicy-built policy.
+			if cfg.Lifecycle.JoinPolicy == nil {
+				return nil, nil, nil, fmt.Errorf("cluster: checkpoint holds joined machine %d but Lifecycle.JoinPolicy is nil", i)
+			}
+			pol, err = cfg.Lifecycle.JoinPolicy(i, mc)
+		}
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("cluster: machine %d policy: %w", i, err)
+		}
+		m, err := sim.RestoreMachine(mc, pol, resume.Machines[i])
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("cluster: machine %d: %w", i, err)
+		}
+		machines[i] = m
+		states[i] = MachineState{Index: i, Cores: m.Cores(), Plat: m.Platform()}
+	}
+	if err := cfg.Placement.(PlacementSnapshotter).PlacementRestore(resume.PlacementState); err != nil {
+		return nil, nil, nil, err
+	}
+	return machines, states, append([]int(nil), resume.Placed...), nil
 }
 
 // placeInitial routes the time-zero applications: each is placed against
@@ -667,35 +521,40 @@ type fleetJob struct {
 // fleetPool advances a fleet over a persistent bounded worker pool (the
 // harness mapRows pattern, kept alive across arrivals so the per-arrival
 // fan-out does not re-spawn goroutines). Worker i only ever touches
-// machines[j] and states[j] for the jobs it receives, and jobs within a
-// batch have distinct indices, so the fan-out is race-free and cannot
-// perturb any machine's trajectory: results are bit-identical to the
-// serial loop for every worker count.
+// machines[j], states[j] and the queue's horizon[j] for the jobs it
+// receives, and jobs within a batch have distinct indices, so the
+// fan-out is race-free and cannot perturb any machine's trajectory:
+// results are bit-identical to the serial loop for every worker count.
 type fleetPool struct {
 	machines []*sim.OpenMachine
 	states   []MachineState
+	// q is the fleet event queue: every advance job stores the machine's
+	// recomputed NextEventHorizon into its own slot of q.horizon; the
+	// serial caller then restores the heap invariant.
+	q        *fleetQueue
+	all      []int // every machine index, for fleet-wide batches
 	errs     []error
 	jobs     chan fleetJob
 	batch    sync.WaitGroup // in-flight jobs of the current batch
 	workers  sync.WaitGroup // worker lifetimes, for close()
-	// horizons, when non-nil, is the fleet event queue's horizon slice:
-	// every advance job stores the machine's recomputed
-	// NextEventHorizon into its own slot (distinct indices per batch,
-	// so race-free); the serial caller then restores the heap invariant.
-	horizons []float64
-	dueBuf   []int        // collectDue scratch, reused across instants
-	advances atomic.Int64 // advance jobs executed (lazy-savings metric)
-	syncs    int64        // synchronization instants served (serial)
+	advances atomic.Int64   // advance jobs executed (lazy-savings metric)
+	syncs    int64          // synchronization instants served (serial)
 }
 
 // newFleetPool sizes the pool: workers caps at the fleet size, 0 means
 // GOMAXPROCS, and ≤ 1 degrades to inline serial execution (no
-// goroutines at all).
-func newFleetPool(machines []*sim.OpenMachine, states []MachineState, workers int) *fleetPool {
+// goroutines at all). eager selects the fleet queue's every-machine
+// reference mode.
+func newFleetPool(machines []*sim.OpenMachine, states []MachineState, workers int, eager bool) *fleetPool {
 	p := &fleetPool{
 		machines: machines,
 		states:   states,
+		q:        newFleetQueue(len(machines), eager),
+		all:      make([]int, len(machines)),
 		errs:     make([]error, len(machines)),
+	}
+	for i := range p.all {
+		p.all[i] = i
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -740,16 +599,12 @@ func (p *fleetPool) run(j fleetJob) {
 	}()
 	m := p.machines[j.idx]
 	if m.Halted() {
-		if p.horizons != nil {
-			p.horizons[j.idx] = math.Inf(1)
-		}
+		p.q.horizon[j.idx] = math.Inf(1)
 		return
 	}
 	if j.drain {
 		p.errs[j.idx] = m.Drain()
-		if p.horizons != nil {
-			p.horizons[j.idx] = math.Inf(1)
-		}
+		p.q.horizon[j.idx] = math.Inf(1)
 		return
 	}
 	if !j.silent {
@@ -760,13 +615,11 @@ func (p *fleetPool) run(j fleetJob) {
 		return
 	}
 	p.refreshState(j.idx)
-	if p.horizons != nil {
-		p.horizons[j.idx] = m.NextEventHorizon()
-	}
+	p.q.horizon[j.idx] = m.NextEventHorizon()
 }
 
 // refreshState re-reads one machine's placement-visible state. The
-// lifecycle engine calls it after out-of-band injections (migrations,
+// engine calls it after out-of-band injections (arrivals, migrations,
 // requeues at the displacement instant) so the next placement decision
 // sees the move.
 func (p *fleetPool) refreshState(idx int) {
@@ -777,72 +630,57 @@ func (p *fleetPool) refreshState(idx int) {
 	s.Phases = m.ActivePhases(s.Phases[:0])
 }
 
-// grow appends a joining machine to the pool. Serial-only, like halts:
+// grow appends a joining machine, already advanced to the current
+// instant, to the pool and the fleet queue. Serial-only, like halts:
 // the lifecycle engine grows the fleet between batches, and the next
 // dispatch picks the new machine up.
 func (p *fleetPool) grow(m *sim.OpenMachine, state MachineState) {
+	p.all = append(p.all, len(p.machines))
 	p.machines = append(p.machines, m)
 	p.states = append(p.states, state)
 	p.errs = append(p.errs, nil)
+	p.q.grow(m.NextEventHorizon())
 }
 
-// dispatch runs one job per machine (inline when the pool is serial) and
-// returns the lowest-indexed error.
-func (p *fleetPool) dispatch(mk func(i int) fleetJob) error {
+// dispatch runs job j once for every machine in idxs (inline when the
+// pool is serial) and returns the batch's error.
+func (p *fleetPool) dispatch(idxs []int, j fleetJob) error {
 	if p.jobs == nil {
-		for i := range p.machines {
-			p.run(mk(i))
+		for _, i := range idxs {
+			j.idx = i
+			p.run(j)
 		}
 	} else {
-		p.batch.Add(len(p.machines))
-		for i := range p.machines {
-			p.jobs <- mk(i)
+		p.batch.Add(len(idxs))
+		for _, i := range idxs {
+			j.idx = i
+			p.jobs <- j
 		}
 		p.batch.Wait()
 	}
-	return p.batchErr(nil)
+	return p.batchErr(idxs)
 }
 
 // batchErr reports a batch's authoritative error: the lowest-indexed
-// machine failure, or the bare sim.ErrCanceled when the only errors are
-// cancellation pauses. Canceled slots are cleared — cancellation is a
-// pause, not a machine failure, and a stale sentinel must not poison a
-// later batch. due limits the scan to the batch's machine indices (nil
-// scans the whole fleet).
-func (p *fleetPool) batchErr(due []int) error {
-	canceled := false
-	scan := func(i int) error {
-		err := p.errs[i]
-		if err == nil {
-			return nil
+// machine failure among idxs, or the bare sim.ErrCanceled when the only
+// errors are cancellation pauses. Canceled slots are cleared —
+// cancellation is a pause, not a machine failure, and a stale sentinel
+// must not poison a later batch.
+func (p *fleetPool) batchErr(idxs []int) error {
+	bad := -1
+	for _, i := range idxs {
+		if p.errs[i] != nil && !errors.Is(p.errs[i], sim.ErrCanceled) && (bad < 0 || i < bad) {
+			bad = i
 		}
-		if errors.Is(err, sim.ErrCanceled) {
+	}
+	if bad >= 0 {
+		return fmt.Errorf("cluster: machine %d: %w", bad, p.errs[bad])
+	}
+	canceled := false
+	for _, i := range idxs {
+		if p.errs[i] != nil {
 			p.errs[i] = nil
 			canceled = true
-			return nil
-		}
-		return fmt.Errorf("cluster: machine %d: %w", i, err)
-	}
-	if due == nil {
-		for i := range p.errs {
-			if err := scan(i); err != nil {
-				return err
-			}
-		}
-	} else {
-		bad := -1
-		for _, i := range due {
-			if p.errs[i] != nil && !errors.Is(p.errs[i], sim.ErrCanceled) && (bad < 0 || i < bad) {
-				bad = i
-			}
-		}
-		if bad >= 0 {
-			return fmt.Errorf("cluster: machine %d: %w", bad, p.errs[bad])
-		}
-		for _, i := range due {
-			if err := scan(i); err != nil {
-				return err
-			}
 		}
 	}
 	if canceled {
@@ -851,40 +689,21 @@ func (p *fleetPool) batchErr(due []int) error {
 	return nil
 }
 
-// advanceTo advances every machine to time t and refreshes its
-// placement-visible state — the eager reference path.
-func (p *fleetPool) advanceTo(t float64) error {
-	p.syncs++
-	return p.dispatch(func(i int) fleetJob { return fleetJob{idx: i, t: t} })
-}
-
 // advanceDue advances only the machines whose event horizon has passed
-// t (per the fleet event queue), recomputes their horizons on the
-// workers and restores the heap serially. Machines left alone are
-// provably unchanged below their horizon, so the fleet state placement
-// reads next is exactly what advanceTo would have produced.
-func (p *fleetPool) advanceDue(q *fleetQueue, t float64) error {
+// t (per the fleet event queue; every machine in its eager mode),
+// recomputes their horizons on the workers and repairs the heap
+// serially. Machines left alone are provably unchanged below their
+// horizon, so the fleet state placement reads next is exactly what an
+// every-machine advance would have produced.
+func (p *fleetPool) advanceDue(t float64) error {
 	p.syncs++
-	p.dueBuf = q.collectDue(t, p.dueBuf[:0])
-	due := p.dueBuf
+	due := p.q.collectDue(t)
 	if len(due) == 0 {
 		return nil
 	}
-	if p.jobs == nil {
-		for _, i := range due {
-			p.run(fleetJob{idx: i, t: t})
-		}
-	} else {
-		p.batch.Add(len(due))
-		for _, i := range due {
-			p.jobs <- fleetJob{idx: i, t: t}
-		}
-		p.batch.Wait()
-	}
-	for _, i := range due {
-		q.fix(i)
-	}
-	return p.batchErr(due)
+	err := p.dispatch(due, fleetJob{t: t})
+	p.q.repair()
+	return err
 }
 
 // advanceOne forces one machine to time t regardless of its horizon — a
@@ -892,39 +711,38 @@ func (p *fleetPool) advanceDue(q *fleetQueue, t float64) error {
 // at t (drain/fail victims before resident extraction, migration
 // destinations before resident injection). Extra pause points are free:
 // the kernel's pause-point invariance keeps the trajectory identical.
-func (p *fleetPool) advanceOne(q *fleetQueue, idx int, t float64) error {
+func (p *fleetPool) advanceOne(idx int, t float64) error {
 	p.run(fleetJob{idx: idx, t: t})
-	if q != nil {
-		q.fix(idx)
-	}
-	return p.batchErr([]int{idx})
+	p.q.fix(idx)
+	return p.batchErr(p.all[idx : idx+1])
 }
 
-// reportStats copies the advancement counters into sink (nil-safe) —
-// deferred by Run so the testing knob sees drains too.
+// reportStats adds the advancement counters into sink (nil-safe) —
+// deferred by Run so the testing knob sees drains too; sharded runs sum
+// their shards.
 func (p *fleetPool) reportStats(sink *fleetStats) {
 	if sink == nil {
 		return
 	}
-	sink.Advances = p.advances.Load()
-	sink.Syncs = p.syncs
+	sink.Advances += p.advances.Load()
+	sink.Syncs += p.syncs
 }
 
 // alignClocks advances every machine to the run's final
-// synchronization instant — the last pause point the eager loop's
-// per-arrival barrier would have left each idle machine at. The lazy
-// path calls it once before draining so final clocks (and the last
-// partial metrics window) are bit-identical to the eager reference.
-// One fleet-wide barrier amortized over the whole run, excluded from
-// the per-arrival advancement statistics.
+// synchronization instant — the last pause point an every-machine
+// barrier would have left each idle machine at. The engine calls it
+// once before draining so final clocks (and the last partial metrics
+// window) do not depend on which machines the queue skipped. One
+// fleet-wide barrier amortized over the whole run, excluded from the
+// per-arrival advancement statistics.
 func (p *fleetPool) alignClocks(t float64) error {
-	return p.dispatch(func(i int) fleetJob { return fleetJob{idx: i, t: t, silent: true} })
+	return p.dispatch(p.all, fleetJob{t: t, silent: true})
 }
 
 // drain marks every machine's arrival stream exhausted and runs it to
 // completion.
 func (p *fleetPool) drain() error {
-	return p.dispatch(func(i int) fleetJob { return fleetJob{idx: i, drain: true} })
+	return p.dispatch(p.all, fleetJob{drain: true})
 }
 
 // close shuts the workers down. Safe on a serial pool.
@@ -935,10 +753,13 @@ func (p *fleetPool) close() {
 	}
 }
 
-// buildResult assembles the cluster result. eng is the lifecycle
-// engine when the run had one (nil otherwise — every lifecycle field
-// stays empty and the JSON shape is unchanged).
+// buildResult assembles the cluster result. eng is the run's engine
+// (nil for a merged sharded run); without an active lifecycle layer
+// every lifecycle field stays empty and the JSON shape is unchanged.
 func buildResult(cfg Config, scn *scenario.Open, machines []*sim.OpenMachine, placed, assignments []int, eng *engine) (*Result, error) {
+	if eng != nil && !eng.lc.active() {
+		eng = nil
+	}
 	res := &Result{
 		Scenario:    scn.Name(),
 		Placement:   cfg.Placement.Name(),

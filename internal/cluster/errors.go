@@ -46,8 +46,8 @@ func (e *PlacementError) Error() string {
 // MigrationPolicy.Migrate result — initial placement, per-arrival
 // placement, lifecycle requeues and migrations all route through it, so
 // an out-of-contract policy fails identically everywhere. up is the
-// machine-eligibility mask (nil when every machine is eligible, as in a
-// fleet without lifecycle events).
+// machine-eligibility mask (nil when every machine is eligible, as at
+// time zero).
 func checkPlaced(policy string, idx, machines int, up []bool) error {
 	if idx < 0 || idx >= machines {
 		return &PlacementError{Policy: policy, Index: idx, Machines: machines, Reason: "index out of range"}

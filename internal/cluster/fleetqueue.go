@@ -25,24 +25,33 @@ import "math"
 //     followed by touch/update before the next collectDue.
 //
 // All heap operations are serial; only the horizon recomputation after
-// an advance happens on the worker pool (distinct indices, then fixed
-// up serially), so the structure is deterministic at any worker count.
+// an advance happens on the worker pool (distinct indices, then
+// repaired serially in one batch), so the structure is deterministic at
+// any worker count.
 type fleetQueue struct {
 	horizon []float64
 	heap    []int
 	pos     []int
-	stack   []int // collectDue descent scratch
+	// eager makes collectDue report every machine at every instant: the
+	// every-machine-every-arrival reference the lazy path is
+	// differentially tested against, as a mode of the one queue.
+	eager bool
+
+	stack  []int // collectDue descent scratch
+	due    []int // collectDue result (machine indices)
+	duePos []int // the due machines' heap slots, in descent (pre)order
 }
 
 // newFleetQueue builds the queue with every machine due at time zero:
 // the first synchronization instant advances the whole fleet once
-// (exactly what the eager loop does on its first arrival) and the real
+// (exactly what the eager mode does on its first arrival) and the real
 // horizons are learned from that advance.
-func newFleetQueue(n int) *fleetQueue {
+func newFleetQueue(n int, eager bool) *fleetQueue {
 	q := &fleetQueue{
 		horizon: make([]float64, n),
 		heap:    make([]int, n),
 		pos:     make([]int, n),
+		eager:   eager,
 	}
 	for i := range q.heap {
 		q.heap[i] = i
@@ -104,9 +113,8 @@ func (q *fleetQueue) update(idx int, h float64) {
 	q.fix(idx)
 }
 
-// fix restores the heap invariant after horizon[idx] was rewritten in
-// place (the worker pool stores recomputed horizons directly into the
-// shared slice; the serial caller then fixes each touched entry).
+// fix restores the heap invariant after horizon[idx] alone was
+// rewritten in place (a single-machine catch-up).
 func (q *fleetQueue) fix(idx int) {
 	k := q.pos[idx]
 	q.up(k)
@@ -132,24 +140,27 @@ func (q *fleetQueue) grow(h float64) {
 	q.up(q.pos[idx])
 }
 
-// collectDue appends every machine with horizon ≤ t to dst and returns
-// it. It descends the heap without popping — a subtree whose root is
-// beyond t cannot contain a due machine, so the walk visits O(due)
-// nodes — and leaves the heap untouched: the caller advances the due
-// machines, rewrites their horizons and calls fix on each.
-func (q *fleetQueue) collectDue(t float64, dst []int) []int {
+// collectDue returns every machine with horizon ≤ t (every machine in
+// eager mode) in a queue-owned slice valid until the next call. It
+// descends the heap without popping — a subtree whose root is beyond t
+// cannot contain a due machine, so the walk visits O(due) nodes — and
+// leaves the heap untouched: the caller advances the due machines,
+// rewrites their horizons in place and calls repair.
+func (q *fleetQueue) collectDue(t float64) []int {
+	q.due, q.duePos = q.due[:0], q.duePos[:0]
 	if len(q.heap) == 0 || math.IsInf(t, -1) {
-		return dst
+		return q.due
 	}
 	q.stack = append(q.stack[:0], 0)
 	for len(q.stack) > 0 {
 		k := q.stack[len(q.stack)-1]
 		q.stack = q.stack[:len(q.stack)-1]
 		idx := q.heap[k]
-		if q.horizon[idx] > t {
+		if !q.eager && q.horizon[idx] > t {
 			continue
 		}
-		dst = append(dst, idx)
+		q.due = append(q.due, idx)
+		q.duePos = append(q.duePos, k)
 		if l := 2*k + 1; l < len(q.heap) {
 			q.stack = append(q.stack, l)
 		}
@@ -157,5 +168,23 @@ func (q *fleetQueue) collectDue(t float64, dst []int) []int {
 			q.stack = append(q.stack, r)
 		}
 	}
-	return dst
+	return q.due
+}
+
+// repair restores the heap invariant after the horizons of the last
+// collectDue batch were rewritten in place — any number of them, in any
+// direction. A per-machine fix cannot do this: one sift assumes every
+// other slot is in order. The due slots form a subtree holding the root
+// (a due machine's heap ancestors have horizons no later than its own,
+// so they are due too), and every slot outside it roots an untouched
+// valid heap. Sifting the due slots down children-first — the reverse
+// of collectDue's parent-first descent — is Floyd's bottom-up heapify
+// restricted to that subtree: each sift-down starts with both child
+// subtrees already valid, so the whole heap is valid when the root's
+// sift finishes. No other queue operation may run between collectDue
+// and repair: the recorded slots must still be the batch's.
+func (q *fleetQueue) repair() {
+	for i := len(q.duePos) - 1; i >= 0; i-- {
+		q.down(q.duePos[i])
+	}
 }

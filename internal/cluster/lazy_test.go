@@ -1,12 +1,13 @@
 package cluster
 
 // Differential tests for the lazy fleet event queue: the heap-driven
-// advancement path must be bit-identical to the retired eager loop
-// (kept behind Config.eagerAdvance for exactly this comparison) across
-// placements, worker counts, heterogeneous fleets and lifecycle
-// schedules — and must do strictly less machine-advancement work on
-// sparse fleets. CI runs this package under -race, which also
-// exercises the parallel horizon-recompute path.
+// advancement path must be bit-identical to the queue's eager mode,
+// which reports every machine due at every instant (selected by
+// Config.eagerAdvance for exactly this comparison), across placements,
+// worker counts, heterogeneous fleets and lifecycle schedules — and
+// must do strictly less machine-advancement work on sparse fleets. CI
+// runs this package under -race, which also exercises the parallel
+// horizon-recompute path.
 
 import (
 	"fmt"
@@ -64,7 +65,7 @@ func sameResults(a, b *Result) bool {
 }
 
 // runDiffPair executes the identical cluster configuration twice —
-// once on the lazy fleet event queue, once on the eager reference loop
+// once on the lazy fleet event queue, once in its eager reference mode
 // — with fresh placement, lifecycle and scenario state for each half,
 // and returns both results plus the advancement statistics.
 func runDiffPair(t *testing.T, mkCfg func() Config, rate, window float64, seed int64) (lazy, eager *Result, lazyStats, eagerStats fleetStats) {

@@ -92,9 +92,9 @@ type Autoscale struct {
 }
 
 // Lifecycle configures the cluster's machine lifecycle layer. A nil (or
-// event-free) Lifecycle is guaranteed zero-cost: cluster.Run takes
-// exactly the historical per-arrival path and produces byte-identical
-// results.
+// event-free) Lifecycle is an empty timeline: cluster.Run drives the
+// same engine loop, which then only places arrivals, and the result
+// carries no lifecycle fields.
 type Lifecycle struct {
 	// Events is the scheduled event timeline (any order; the engine
 	// orders by time, ties by list position).
@@ -131,7 +131,8 @@ type Lifecycle struct {
 }
 
 // active reports whether the lifecycle layer can change anything: when
-// false, Run takes the historical per-arrival path untouched.
+// false the engine's timeline is empty and results, checkpoints
+// included, carry no lifecycle fields.
 func (l *Lifecycle) active() bool {
 	return l != nil && (len(l.Events) > 0 || l.MTBF > 0 || l.Autoscale != nil)
 }
@@ -229,11 +230,13 @@ type parkedArrival struct {
 	traceIdx int
 }
 
-// engine is the lifecycle state machine driving a cluster run with an
-// active Lifecycle. Everything it does is serial placement-layer work.
+// engine drives a cluster run: it interleaves the lifecycle event
+// timeline (empty without a lifecycle layer) with the arrival stream,
+// and owns checkpoints, cancellation, the assignment log and the fleet
+// queue's upkeep. Everything it does is serial placement-layer work.
 type engine struct {
 	cfg  *Config
-	lc   *Lifecycle
+	lc   *Lifecycle // never nil: a nil Config.Lifecycle becomes an empty one
 	scn  *scenario.Open
 	sims []sim.Config
 	pool *fleetPool
@@ -248,13 +251,7 @@ type engine struct {
 	assignments []int // nil unless Config.RecordAssignments
 	parked      []parkedArrival
 
-	// q is the fleet event queue (nil under the eagerAdvance knob):
-	// synchronization instants advance only due machines, and machines
-	// the engine mutates at t — drain/fail victims before resident
-	// extraction, migration destinations before resident injection —
-	// get a targeted catch-up instead of riding a fleet barrier.
-	q *fleetQueue
-	// lastSync is the latest fleet synchronization instant — where Run
+	// lastSync is the latest fleet synchronization instant — where run
 	// aligns every lazy clock before the final drain.
 	lastSync float64
 
@@ -269,15 +266,9 @@ type engine struct {
 	staticFired int
 	victimDraws []int
 
-	// Cooperative interruption (all set by Run): cancel and stopAfter
-	// pause the run at the next loop top; save writes a periodic
-	// checkpoint (nil when the run has none configured) every ckptEvery
-	// simulated seconds; interrupted reports how run() ended.
-	cancel      *sim.CancelFlag
-	stopAfter   float64
-	ckptEvery   float64
+	// lastCkpt is the instant of the last periodic checkpoint;
+	// interrupted reports whether run() paused instead of draining.
 	lastCkpt    float64
-	save        func() error
 	interrupted bool
 
 	migration  MigrationPolicy
@@ -291,8 +282,14 @@ type engine struct {
 	candScratch []MachineState
 }
 
-func newEngine(cfg *Config, lc *Lifecycle, scn *scenario.Open, sims []sim.Config, pool *fleetPool, placed []int, nArrivals int) (*engine, error) {
+// newEngine builds the engine over a constructed pool and seeds its
+// timeline.
+func newEngine(cfg *Config, scn *scenario.Open, sims []sim.Config, pool *fleetPool, placed []int, arrivals []scenario.Arrival) (*engine, error) {
 	n := len(pool.machines)
+	lc := cfg.Lifecycle
+	if lc == nil {
+		lc = &Lifecycle{}
+	}
 	e := &engine{
 		cfg:        cfg,
 		lc:         lc,
@@ -313,7 +310,10 @@ func newEngine(cfg *Config, lc *Lifecycle, scn *scenario.Open, sims []sim.Config
 		e.downAt[i] = -1
 	}
 	if cfg.RecordAssignments {
-		e.assignments = make([]int, nArrivals)
+		// Slots are indexed by trace position and filled as arrivals
+		// are placed; -1 marks an arrival not (yet) placed — parked, or
+		// beyond an interruption.
+		e.assignments = make([]int, len(arrivals))
 		for i := range e.assignments {
 			e.assignments[i] = -1
 		}
@@ -325,13 +325,42 @@ func newEngine(cfg *Config, lc *Lifecycle, scn *scenario.Open, sims []sim.Config
 		e.backoff = 0.25
 	}
 	switch {
+	case !lc.active():
+		// An empty timeline never displaces a resident.
 	case lc.Migration != nil:
 		e.migration = lc.Migration
 	case lc.MigrationCost >= 0:
 		e.migration = NewCostAwareMigration(lc.MigrationCost, sims[0].Plat)
 	}
 	e.trk = newLifeTracker(sims[0].EffectiveMetricsWindow().Seconds(), n, n)
+	if err := e.schedule(arrivals); err != nil {
+		return nil, err
+	}
 	return e, nil
+}
+
+// resume restores the checkpointed run coordinate onto a fresh engine
+// whose pool already holds the restored machines.
+func (e *engine) resume(ck *Checkpoint, arrivals []scenario.Arrival) error {
+	p := &ck.payload
+	e.ai = p.NextArrival
+	if len(p.Assignments) != len(e.assignments) {
+		return &CheckpointFormatError{Path: ck.path, Reason: fmt.Sprintf(
+			"assignment log has %d slots, the resumed run records %d — resume must record assignments exactly when the checkpointed run did, over the same trace",
+			len(p.Assignments), len(e.assignments))}
+	}
+	copy(e.assignments, p.Assignments)
+	if p.Lifecycle != nil {
+		if err := e.restore(p.Lifecycle); err != nil {
+			return err
+		}
+	} else if e.ai > 0 {
+		// Without a lifecycle layer the last synchronization instant is
+		// the last processed arrival's.
+		e.lastSync = arrivals[e.ai-1].Time
+	}
+	e.lastCkpt = e.lastSync
+	return nil
 }
 
 // schedule seeds the timeline: the declared events, the MTBF failure
@@ -388,10 +417,13 @@ func (e *engine) push(ev *timelineEvent) {
 	heap.Push(&e.evq, ev)
 }
 
-// run interleaves the event timeline with the arrival stream: at each
-// step the earlier of (next event, next arrival) is processed, events
-// first at equal times. With an empty timeline this degenerates to
-// exactly the historical per-arrival loop.
+// run is the cluster's one arrival loop. It interleaves the event
+// timeline with the arrival stream: at each step the earlier of (next
+// event, next arrival) is processed, events first at equal times. With
+// an empty timeline it is a plain per-arrival placement loop. When the
+// stream is exhausted it aligns every clock and drains the fleet; a run
+// paused on the way (cancellation, StopAfter) ends with interrupted set
+// and, when checkpointing is configured, a final checkpoint.
 //
 // The loop top is the engine's checkpoint pause point: the next event
 // is only peeked (not popped) before the fleet advances, so a
@@ -401,6 +433,7 @@ func (e *engine) push(ev *timelineEvent) {
 // several machines out of band, and pausing halfway through would leave
 // a coordinate no snapshot describes.
 func (e *engine) run(arrivals []scenario.Arrival) error {
+	ck, cancel := e.cfg.Checkpoint, e.cfg.Cancel
 	for e.ai < len(arrivals) || e.evq.Len() > 0 {
 		evNext := e.evq.Len() > 0 && (e.ai >= len(arrivals) || e.evq[0].time <= arrivals[e.ai].Time)
 		var t float64
@@ -409,22 +442,26 @@ func (e *engine) run(arrivals []scenario.Arrival) error {
 		} else {
 			t = arrivals[e.ai].Time
 		}
-		if e.cancel.Canceled() || (e.stopAfter > 0 && t >= e.stopAfter) {
+		if cancel.Canceled() || (e.cfg.StopAfter > 0 && t >= e.cfg.StopAfter) {
 			e.interrupted = true
-			return nil
+			break
 		}
-		if e.save != nil && e.ckptEvery > 0 && t >= e.lastCkpt+e.ckptEvery {
+		if ck != nil && ck.Every > 0 && t >= e.lastCkpt+ck.Every {
 			if err := e.save(); err != nil {
 				return err
 			}
 			e.lastCkpt = t
 		}
-		if err := e.advance(t); err != nil {
-			if errors.Is(err, sim.ErrCanceled) {
-				e.interrupted = true
-				return nil
+		// Synchronize the fleet to t: only the machines the queue
+		// reports due advance, and every placement-visible state then
+		// matches an every-machine advance bit for bit.
+		e.lastSync = t
+		if err := e.pool.advanceDue(t); err != nil {
+			if !errors.Is(err, sim.ErrCanceled) {
+				return err
 			}
-			return err
+			e.interrupted = true
+			break
 		}
 		e.trk.advance(t)
 		if evNext {
@@ -432,9 +469,9 @@ func (e *engine) run(arrivals []scenario.Arrival) error {
 			if ev.kind != tlRetry {
 				e.staticFired++
 			}
-			e.cancel.Mask()
+			cancel.Mask()
 			err := e.handle(ev)
-			e.cancel.Unmask()
+			cancel.Unmask()
 			if err != nil {
 				return err
 			}
@@ -445,28 +482,34 @@ func (e *engine) run(arrivals []scenario.Arrival) error {
 		}
 		e.ai++
 	}
+	// Machines are fully independent past placement: align every clock
+	// to the last synchronization instant, then drain through the pool.
+	if !e.interrupted {
+		err := e.pool.alignClocks(e.lastSync)
+		if err == nil {
+			err = e.pool.drain()
+		}
+		if err != nil {
+			if !errors.Is(err, sim.ErrCanceled) {
+				return err
+			}
+			e.interrupted = true
+		}
+	}
+	if e.interrupted && ck != nil {
+		return e.save()
+	}
 	return nil
 }
 
-// advance synchronizes the fleet to instant t: due machines only via
-// the fleet event queue, or the whole fleet on the eager reference
-// path. Either way, every up machine's placement-visible state then
-// matches an eager advance bit for bit.
-func (e *engine) advance(t float64) error {
-	e.lastSync = t
-	if e.q != nil {
-		return e.pool.advanceDue(e.q, t)
+// save writes the run's coordinate to the configured checkpoint path.
+// Call only at the loop top, or once run's loop has ended.
+func (e *engine) save() error {
+	p, err := captureCheckpoint(e)
+	if err != nil {
+		return err
 	}
-	return e.pool.advanceTo(t)
-}
-
-// catchUp forces one machine to instant t before the engine mutates it
-// out of band; a no-op on the eager path (the fleet barrier already ran).
-func (e *engine) catchUp(idx int, t float64) error {
-	if e.q == nil {
-		return nil
-	}
-	return e.pool.advanceOne(e.q, idx, t)
+	return writeCheckpointPayload(e.cfg.Checkpoint.Path, p)
 }
 
 func (e *engine) handle(ev *timelineEvent) error {
@@ -512,9 +555,9 @@ func (e *engine) place(arr scenario.Arrival, traceIdx int) error {
 		return fmt.Errorf("cluster: machine %d: %w", idx, err)
 	}
 	e.pool.refreshState(idx)
-	if e.q != nil {
-		e.q.touch(idx, arr.Time)
-	}
+	// The injected arrival is the machine's next event: make it due no
+	// later than its delivery.
+	e.pool.q.touch(idx, arr.Time)
 	e.placed[idx]++
 	if traceIdx >= 0 && e.assignments != nil {
 		e.assignments[traceIdx] = idx
@@ -587,13 +630,6 @@ func (e *engine) join(t float64, cfg *sim.Config, autoscaled bool) error {
 	e.sims = append(e.sims, mc)
 	e.pool.grow(m, MachineState{Index: idx, Cores: mc.Plat.Cores, Plat: mc.Plat})
 	e.pool.refreshState(idx)
-	if e.q != nil {
-		// The joiner was just advanced to t, so its horizon is current;
-		// growing may reallocate the shared horizon slice, so re-point
-		// the pool at it.
-		e.q.grow(m.NextEventHorizon())
-		e.pool.horizons = e.q.horizon
-	}
 	e.up = append(e.up, true)
 	e.nUp++
 	e.joinedAt = append(e.joinedAt, t)
@@ -633,7 +669,7 @@ func (e *engine) drainMachine(t float64, idx int, autoscaled bool) error {
 	}
 	// The victim must be at t before extraction: residents carry run
 	// progress and phase coordinates as of the drain instant.
-	if err := e.catchUp(idx, t); err != nil {
+	if err := e.pool.advanceOne(idx, t); err != nil {
 		return err
 	}
 	residents := e.takeResidents(idx)
@@ -656,16 +692,14 @@ func (e *engine) drainMachine(t float64, idx int, autoscaled bool) error {
 			}
 			// InjectResident requires the destination at the migration
 			// instant (the incoming app lands in the window open at t).
-			if err := e.catchUp(dest, t); err != nil {
+			if err := e.pool.advanceOne(dest, t); err != nil {
 				return err
 			}
 			if err := e.pool.machines[dest].InjectResident(r); err != nil {
 				return fmt.Errorf("cluster: machine %d: %w", dest, err)
 			}
 			e.pool.refreshState(dest)
-			if e.q != nil {
-				e.q.touch(dest, t)
-			}
+			e.pool.q.touch(dest, t)
 			e.placed[dest]++
 			e.sum.Disruptions++
 			e.sum.Migrations++
@@ -694,7 +728,7 @@ func (e *engine) failMachine(t float64, idx int) error {
 		return nil
 	}
 	// As for drains: extraction must see the machine's state at t.
-	if err := e.catchUp(idx, t); err != nil {
+	if err := e.pool.advanceOne(idx, t); err != nil {
 		return err
 	}
 	residents := e.takeResidents(idx)
@@ -733,11 +767,9 @@ func (e *engine) failMachine(t float64, idx int) error {
 // its simulated time freezes at t and its metric windows end there.
 func (e *engine) takeDown(t float64, idx int, failed bool) {
 	e.pool.machines[idx].Halt()
-	if e.q != nil {
-		// A halted machine's state is frozen: drop it out of every
-		// future due set.
-		e.q.update(idx, math.Inf(1))
-	}
+	// A halted machine's state is frozen: drop it out of every future
+	// due set.
+	e.pool.q.update(idx, math.Inf(1))
 	e.up[idx] = false
 	e.nUp--
 	e.downAt[idx] = t

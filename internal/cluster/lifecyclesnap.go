@@ -230,13 +230,19 @@ func (e *engine) restore(snap *engineSnapshot) error {
 	e.victimDraws = append([]int(nil), snap.VictimDraws...)
 
 	e.lastSync = snap.LastSync
-	e.lastCkpt = snap.LastSync
 	e.sum = snap.Sum
 
 	t := e.trk
 	if snap.Trk.Width != t.width {
 		return fmt.Errorf("cluster: lifecycle snapshot tracked %gs windows, config says %gs — resume must use the original config",
 			snap.Trk.Width, t.width)
+	}
+	// A run's tracker always sits inside its open window; anything else
+	// (a window start far behind its clock) would replay a runaway number
+	// of window closes.
+	if !(snap.Trk.WinStart >= 0 && snap.Trk.WinStart <= snap.Trk.LastT && snap.Trk.LastT < snap.Trk.WinStart+t.width) {
+		return fmt.Errorf("cluster: lifecycle snapshot tracker at t=%g outside its open window [%g, %g+%g)",
+			snap.Trk.LastT, snap.Trk.WinStart, snap.Trk.WinStart, t.width)
 	}
 	t.series = snap.Trk.Series
 	t.winStart = snap.Trk.WinStart

@@ -1,10 +1,16 @@
 // Sharded arrival streams: Config.Shards splits a cluster run into K
 // disjoint sub-fleets fed by K striped sub-streams that execute with no
 // cross-shard synchronization at all — the serial per-arrival placement
-// point of the main loop becomes K independent placement points running
-// concurrently. Machine i belongs to shard i%K and trace arrival j to
-// shard j%K, so every shard sees ~1/K of the load over ~1/K of the
-// fleet in the original relative order.
+// point becomes K independent placement points running concurrently.
+// Machine i belongs to shard i%K and trace arrival j to shard j%K, so
+// every shard sees ~1/K of the load over ~1/K of the fleet in the
+// original relative order.
+//
+// Each shard is an ordinary engine run over its own sub-fleet: machines,
+// placement-visible states, placement decisions and the machine indices
+// in errors are local (shard machine l is fleet machine shard + l*K);
+// policy factories get the fleet index, and the merge maps results back
+// to fleet indices.
 //
 // This is only a faithful execution for placement policies that declare
 // order-independence (ShardablePlacement): each shard gets its own
@@ -25,22 +31,6 @@ import (
 	"github.com/faircache/lfoc/internal/sim/scenario"
 )
 
-// shardRun is one shard's world: local slices index the shard's
-// machines 0..m, with global fleet index g = shard + local*k.
-type shardRun struct {
-	shard     int // this shard's number in 0..k
-	k         int // shard count (the global-index stride)
-	fleet     int // global fleet size
-	placement Policy
-	globals   []int
-	machines  []*sim.OpenMachine
-	states    []MachineState
-	arrs      []scenario.Arrival
-	arrIdx    []int // global trace index of each shard arrival
-	pool      *fleetPool
-	err       error
-}
-
 // runSharded executes the Shards > 1 path of Run. cfg, scn and sims
 // are pre-validated by Run.
 func runSharded(cfg Config, scn *scenario.Open, sims []sim.Config, newPolicy func(machine int) (sim.Dynamic, error)) (*Result, error) {
@@ -57,158 +47,77 @@ func runSharded(cfg Config, scn *scenario.Open, sims []sim.Config, newPolicy fun
 		return nil, fmt.Errorf("cluster: %d shards need at least %d machines, fleet has %d", k, k, n)
 	}
 
-	initial := scn.Initial()
-	arrivals := scn.Arrivals()
-	machines := make([]*sim.OpenMachine, n) // global index order
+	// Build every shard's engine serially (policy factories and initial
+	// placement are not required to be concurrency-safe); only the
+	// engine runs below execute concurrently. Each shard is serial
+	// inside (a single-worker pool), so Workers does not apply here —
+	// the shard count is the parallelism.
+	initial, arrivals := scn.Initial(), scn.Arrivals()
+	engines := make([]*engine, k)
+	streams := make([][]scenario.Arrival, k)
+	for s := range engines {
+		var subSims []sim.Config
+		for g := s; g < n; g += k {
+			subSims = append(subSims, sims[g])
+		}
+		var subInitial []*appmodel.Spec
+		for j := s; j < len(initial); j += k {
+			subInitial = append(subInitial, initial[j])
+		}
+		for j := s; j < len(arrivals); j += k {
+			streams[s] = append(streams[s], arrivals[j])
+		}
+		shardCfg := cfg
+		shardCfg.Placement = sp.Shard()
+		shardPolicy := func(l int) (sim.Dynamic, error) { return newPolicy(s + l*k) }
+		machines, states, placed, err := newFleet(shardCfg.Placement, scn, subInitial, subSims, shardPolicy, false)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: shard %d of %d: %w", s, k, err)
+		}
+		pool := newFleetPool(machines, states, 1, cfg.eagerAdvance)
+		if engines[s], err = newEngine(&shardCfg, scn, subSims, pool, placed, streams[s]); err != nil {
+			return nil, err
+		}
+	}
+
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for s, e := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[s] = e.run(streams[s])
+		}()
+	}
+	wg.Wait()
+	for s, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("cluster: shard %d of %d: %w", s, k, err)
+		}
+	}
+
+	// Merge: shard s's machine l is fleet machine s+l·k, its j-th
+	// arrival trace arrival s+j·k.
+	machines := make([]*sim.OpenMachine, n)
 	placed := make([]int, n)
 	var assignments []int
 	if cfg.RecordAssignments {
 		assignments = make([]int, len(arrivals))
-		for i := range assignments {
-			assignments[i] = -1
+	}
+	for s, e := range engines {
+		e.pool.reportStats(cfg.statsSink)
+		for l, m := range e.pool.machines {
+			machines[s+l*k] = m
+			placed[s+l*k] = e.placed[l]
+		}
+		for j, l := range e.assignments {
+			assignments[s+j*k] = s + l*k
 		}
 	}
-
-	// Build every shard's world serially (policy factories and initial
-	// placement are not required to be concurrency-safe); only the
-	// simulation loops below run concurrently.
-	shards := make([]*shardRun, k)
-	for s := range shards {
-		sh := &shardRun{shard: s, k: k, fleet: n, placement: sp.Shard()}
-		for g := s; g < n; g += k {
-			sh.globals = append(sh.globals, g)
-			sh.states = append(sh.states, MachineState{Index: g, Cores: sims[g].Plat.Cores, Plat: sims[g].Plat})
-		}
-		shards[s] = sh
-	}
-	for j, arr := range arrivals {
-		sh := shards[j%k]
-		sh.arrs = append(sh.arrs, arr)
-		sh.arrIdx = append(sh.arrIdx, j)
-	}
-	perMachineInitial := make([][]*appmodel.Spec, n)
-	for j, spec := range initial {
-		sh := shards[j%k]
-		g, err := sh.place(spec, 0)
-		if err != nil {
-			return nil, err
-		}
-		perMachineInitial[g] = append(perMachineInitial[g], spec)
-		// Mirror placeInitial's admission preview: one app per core,
-		// overflow starts queued.
-		st := &sh.states[g/k]
-		if st.Active < st.Cores {
-			st.Active++
-			st.Phases = append(st.Phases, spec.DominantPhase())
-		} else {
-			st.Queued++
-		}
-	}
-	for _, sh := range shards {
-		for _, g := range sh.globals {
-			pol, err := newPolicy(g)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: machine %d policy: %w", g, err)
-			}
-			m, err := sim.NewOpenMachine(sims[g], pol, scn.Name(), perMachineInitial[g], scn.Horizon())
-			if err != nil {
-				return nil, fmt.Errorf("cluster: machine %d: %w", g, err)
-			}
-			sh.machines = append(sh.machines, m)
-			machines[g] = m
-			placed[g] = len(perMachineInitial[g])
-		}
-	}
-
-	// Run the shards concurrently; each shard is serial inside (its own
-	// single-worker pool and fleet event queue), so Workers does not
-	// apply here — the shard count is the parallelism.
-	var wg sync.WaitGroup
-	for _, sh := range shards {
-		wg.Add(1)
-		go func(sh *shardRun) {
-			defer wg.Done()
-			sh.err = sh.run(&cfg, placed, assignments)
-		}(sh)
-	}
-	wg.Wait()
-	for _, sh := range shards {
-		if sh.err != nil {
-			return nil, sh.err
-		}
-	}
-	if cfg.statsSink != nil {
-		for _, sh := range shards {
-			cfg.statsSink.Advances += sh.pool.advances.Load()
-			cfg.statsSink.Syncs += sh.pool.syncs
-		}
-	}
-
 	res, err := buildResult(cfg, scn, machines, placed, assignments, nil)
 	if err != nil {
 		return nil, err
 	}
 	res.Shards = k
 	return res, nil
-}
-
-// place routes one arrival through the shard's placement instance and
-// validates that the decision stayed inside the shard. Returns the
-// global machine index.
-func (sh *shardRun) place(spec *appmodel.Spec, t float64) (int, error) {
-	g := sh.placement.Place(spec, t, sh.states)
-	if err := checkPlaced(sh.placement.Name(), g, sh.fleet, nil); err != nil {
-		return 0, err
-	}
-	if g%sh.k != sh.shard {
-		return 0, &PlacementError{Policy: sh.placement.Name(), Index: g, Machines: sh.fleet,
-			Reason: fmt.Sprintf("machine belongs to shard %d, not %d", g%sh.k, sh.shard)}
-	}
-	return g, nil
-}
-
-// run is one shard's arrival loop: the main Run loop over the shard's
-// sub-stream and sub-fleet, lazy by default, eager under the knob.
-// placed and assignments are fleet-global slices — shards write
-// disjoint entries (their own machines, their own trace indices), so
-// the concurrent writes are race-free.
-func (sh *shardRun) run(cfg *Config, placed, assignments []int) error {
-	sh.pool = newFleetPool(sh.machines, sh.states, 1)
-	var q *fleetQueue
-	if !cfg.eagerAdvance {
-		q = newFleetQueue(len(sh.machines))
-		sh.pool.horizons = q.horizon
-	}
-	for i, arr := range sh.arrs {
-		var err error
-		if q != nil {
-			err = sh.pool.advanceDue(q, arr.Time)
-		} else {
-			err = sh.pool.advanceTo(arr.Time)
-		}
-		if err != nil {
-			return err
-		}
-		g, err := sh.place(arr.Spec, arr.Time)
-		if err != nil {
-			return err
-		}
-		local := g / sh.k
-		if err := sh.machines[local].Inject(arr); err != nil {
-			return fmt.Errorf("cluster: machine %d: %w", g, err)
-		}
-		if q != nil {
-			q.touch(local, arr.Time)
-		}
-		placed[g]++
-		if assignments != nil {
-			assignments[sh.arrIdx[i]] = g
-		}
-	}
-	if q != nil && len(sh.arrs) > 0 {
-		if err := sh.pool.alignClocks(sh.arrs[len(sh.arrs)-1].Time); err != nil {
-			return err
-		}
-	}
-	return sh.pool.drain()
 }

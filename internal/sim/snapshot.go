@@ -319,6 +319,19 @@ func RestoreMachine(cfg Config, pol Dynamic, snap *MachineSnapshot) (*OpenMachin
 		return nil, fmt.Errorf("sim: snapshot %q collected %vs metric windows, config says %vs — resume must use the original config",
 			snap.Name, snap.Series.Width, k.series.Width)
 	}
+	// The clock coordinates bound every catch-up loop the restored
+	// machine runs. An advanced kernel keeps its clock within
+	// [0, MaxSimTime], its next policy activation within a period of the
+	// clock, and its clock inside the open metrics window; a coordinate
+	// outside that would replay an unbounded number of ticks or window
+	// closes.
+	period := k.cfg.PolicyPeriod.Seconds()
+	if !(snap.SimTime >= 0 && snap.SimTime <= k.cfg.MaxSimTime.Seconds()) ||
+		!(snap.NextPolicy >= snap.SimTime-period && snap.NextPolicy <= snap.SimTime+2*period) ||
+		(k.collect && !(snap.WinStart >= 0 && snap.WinStart <= snap.SimTime && snap.SimTime < snap.WinStart+k.series.Width)) {
+		return nil, fmt.Errorf("sim: snapshot %q clock out of range: sim time %g, next policy activation %g, window start %g",
+			snap.Name, snap.SimTime, snap.NextPolicy, snap.WinStart)
+	}
 	k.simTime = snap.SimTime
 	k.nextPolicy = snap.NextPolicy
 	k.repartitions = snap.Repartitions

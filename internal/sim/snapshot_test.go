@@ -225,3 +225,40 @@ func TestSnapshotUnsupportedPolicyTyped(t *testing.T) {
 		t.Fatalf("RestoreMachine with plain policy = %v, want *SnapshotUnsupportedError", err)
 	}
 }
+
+// A snapshot whose clock coordinates no advanced kernel could hold — a
+// clock outside [0, MaxSimTime], a policy activation far behind the
+// clock, a window start outside the open window — is rejected at
+// restore instead of replaying an unbounded catch-up.
+func TestRestoreRejectsOutOfRangeClock(t *testing.T) {
+	plat := machine.Small(8, 4)
+	cfg := openConfig()
+	cfg.Plat = plat
+	m, err := sim.NewOpenMachine(cfg, policy.NewStockDynamic(plat.Ways), "clock", openPool("lbm06"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AdvanceTo(0.7); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RestoreMachine(cfg, policy.NewStockDynamic(plat.Ways), snap); err != nil {
+		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(s *sim.MachineSnapshot){
+		"negative clock":      func(s *sim.MachineSnapshot) { s.SimTime = -1e18 },
+		"clock past MaxSim":   func(s *sim.MachineSnapshot) { s.SimTime = 1e18 },
+		"policy far behind":   func(s *sim.MachineSnapshot) { s.NextPolicy = -1e18 },
+		"window far behind":   func(s *sim.MachineSnapshot) { s.WinStart = -1e18 },
+		"window ahead of now": func(s *sim.MachineSnapshot) { s.WinStart = s.SimTime + 1 },
+	} {
+		bad := *snap
+		mutate(&bad)
+		if _, err := sim.RestoreMachine(cfg, policy.NewStockDynamic(plat.Ways), &bad); err == nil {
+			t.Errorf("%s: snapshot accepted", name)
+		}
+	}
+}
