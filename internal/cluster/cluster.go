@@ -403,6 +403,7 @@ func newFleet(p Policy, scn *scenario.Open, initial []*appmodel.Spec, sims []sim
 	}
 	machines := make([]*sim.OpenMachine, len(sims))
 	placed := make([]int, len(sims))
+	end := traceEnd(scn)
 	for i := range machines {
 		pol, err := newPolicy(i)
 		if err != nil {
@@ -417,10 +418,22 @@ func newFleet(p Policy, scn *scenario.Open, initial []*appmodel.Spec, sims []sim
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("cluster: machine %d: %w", i, err)
 		}
+		m.ReserveWindows(end)
 		machines[i] = m
 		placed[i] = len(perMachineInitial[i])
 	}
 	return machines, states, placed, nil
+}
+
+// traceEnd is the last arrival time of the trace. Every machine that
+// stays up is advanced at least that far before the drain, so it is the
+// metrics-series length each machine reserves up front.
+func traceEnd(scn *scenario.Open) float64 {
+	arrivals := scn.Arrivals()
+	if len(arrivals) == 0 {
+		return 0
+	}
+	return arrivals[len(arrivals)-1].Time
 }
 
 // resumeFleet rebuilds the checkpointed fleet — joined machines

@@ -624,6 +624,7 @@ func (e *engine) join(t float64, cfg *sim.Config, autoscaled bool) error {
 	if err != nil {
 		return fmt.Errorf("cluster: machine %d: %w", idx, err)
 	}
+	m.ReserveWindows(traceEnd(e.scn))
 	if err := m.AdvanceTo(t); err != nil {
 		return fmt.Errorf("cluster: machine %d: %w", idx, err)
 	}

@@ -3,7 +3,8 @@ package sim
 // Benchmarks contrasting the event-horizon batched advancement with the
 // legacy per-tick reference path at the default TicksPerPeriod=250 and
 // the harness's scale-50 cadences — the measured speedups quoted in
-// DESIGN.md §2 "Time advancement" come from these.
+// DESIGN.md §2 "Time advancement" come from these — plus the cost of
+// an idle machine catching up.
 
 import (
 	"fmt"
@@ -104,4 +105,36 @@ func BenchmarkKernelChurnSweep(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkKernelIdleCatchUp measures what an idle fleet machine costs:
+// one OpenMachine (LFOC) over a 20 s horizon at scale 50 whose only
+// arrival comes at 19.5 s, so nearly all of the run is the clock
+// catching up through policy periods and window closes. allocs/op
+// counts the run only (construction is untimed): the catch-up itself
+// allocates nothing per tick or per horizon.
+func BenchmarkKernelIdleCatchUp(b *testing.B) {
+	cfg := benchOpenConfig(false)
+	const horizon, late = 20.0, 19.5
+	spec := specsOf("lbm06")[0]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, err := NewOpenMachine(cfg, horizonPolicy(b, "lfoc", cfg.Plat), "idle", nil, horizon)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Inject(scenario.Arrival{Time: late, Spec: spec}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := m.AdvanceTo(late); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Drain(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ticks := horizon / cfg.PolicyPeriod.Seconds() * float64(cfg.TicksPerPeriod)
+	b.ReportMetric(ticks*float64(b.N)/b.Elapsed().Seconds(), "ticks/sec")
 }

@@ -9,6 +9,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -304,4 +305,160 @@ func TestCarryGridEdges(t *testing.T) {
 	if g := carryGrid(80000.25); !g.ok || g.base != 80000 {
 		t.Errorf("well-formed step rejected: %+v", g)
 	}
+}
+
+// tickLoopClock is the reference clock advance: one float add per tick,
+// the per-tick loop advanceClock replaces, verbatim.
+func tickLoopClock(s, dt float64, n int, stop, maxTime float64) (float64, int) {
+	ticks := 0
+	for {
+		s += dt
+		ticks++
+		if ticks >= n || s >= stop || s > maxTime {
+			break
+		}
+	}
+	return s, ticks
+}
+
+// checkClock compares advanceClock with the tick loop bit for bit.
+func checkClock(t *testing.T, s, dt float64, n int, stop, maxTime float64) {
+	t.Helper()
+	wantS, wantN := tickLoopClock(s, dt, n, stop, maxTime)
+	gotS, gotN := advanceClock(s, dt, n, stop, maxTime)
+	if math.Float64bits(gotS) != math.Float64bits(wantS) || gotN != wantN {
+		t.Fatalf("advanceClock(%v, %v, %d, %v, %v) = (%v, %d), tick loop gives (%v, %d)",
+			s, dt, n, stop, maxTime, gotS, gotN, wantS, wantN)
+	}
+}
+
+// TestAdvanceClockMatchesTickLoop is the differential pin of the
+// closed-form clock: the kernel's tick lengths (Scale 1/50/1000,
+// TicksPerPeriod 250/1000) and arbitrary ones, starts on the tick grid,
+// just below a power of two or anywhere, and each exit — n, stop or
+// maxTime — binding either at an arbitrary value or exactly on a value
+// the loop reaches, with the others inactive (+Inf, NaN, a later bound
+// or n up to 1<<30); bounds on a reached value are also tried one ulp
+// to either side. Constructed cases cover s = 0, the binade edges
+// and exact half-ulp ties.
+func TestAdvanceClockMatchesTickLoop(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	ulp1 := math.Ldexp(1, -52) // ulp of [1, 2)
+
+	// Half-ulp ties: from an odd grid point (the first step differs from
+	// the rest), with q = 0 (the clock then stalls), and a step that is
+	// exact in [1, 2) but ties once the clock crosses into [2, 4).
+	for _, c := range []struct{ s, dt float64 }{
+		{1 + ulp1, 1.5 * ulp1},
+		{1 + ulp1, 0.5 * ulp1},
+		{1 + ulp1, 2.5 * ulp1},
+		{1, 2.5 * ulp1},
+		{2 - 64*ulp1, 3 * ulp1},
+		{2 - 63*ulp1, 5 * ulp1},
+	} {
+		for _, n := range []int{1, 2, 3, 100, 100_000} {
+			checkClock(t, c.s, c.dt, n, inf, inf)
+		}
+		// n stays moderate: with q = 0 no tick ever passes v.
+		v, _ := tickLoopClock(c.s, c.dt, 1000, inf, inf)
+		checkClock(t, c.s, c.dt, 1<<20, v, inf)
+		checkClock(t, c.s, c.dt, 1<<20, inf, v)
+	}
+	// s = 0, subnormal steps, stalled clocks and degenerate bounds.
+	for _, c := range []struct {
+		s, dt         float64
+		n             int
+		stop, maxTime float64
+	}{
+		{0, 4e-5, 1 << 30, 1, inf},
+		{0, 4e-5, 1 << 30, inf, 20},
+		{0, 0, 1000, inf, inf},
+		{0, 5e-324, 100_000, inf, inf},
+		{1e-310, 3e-320, 100_000, inf, inf},
+		{1e-310, 1e-312, 1 << 30, 3e-308, inf},
+		{3600, 1e-17, 100_000, inf, inf},
+		{1, 4e-5, 0, inf, inf},
+		{1, 4e-5, -5, inf, inf},
+		{1, 4e-5, 1 << 30, 0.5, inf},
+		{1, 4e-5, 1 << 30, inf, 0.5},
+		{1, 4e-5, 1 << 30, nan, 1.5},
+		{1, 4e-5, 100_000, nan, nan},
+		{0, 4e-5, 1 << 30, 4e-5, inf},
+		{0, 4e-5, 1 << 30, inf, 4e-5},
+		{2 - 4e-5, 4e-5, 1 << 30, 2, inf},
+		{2 - 4e-5, 4e-5, 1 << 30, inf, 2},
+		{-1, 4e-5, 100_000, inf, inf},
+		{1, -4e-5, 100_000, inf, inf},
+		{inf, 4e-5, 10, inf, inf},
+	} {
+		checkClock(t, c.s, c.dt, c.n, c.stop, c.maxTime)
+	}
+
+	var dts []float64
+	for _, scale := range []int64{1, 50, 1000} {
+		for _, tpp := range []int{250, 1000} {
+			period := time.Duration(int64(500*time.Millisecond) / scale)
+			dts = append(dts, period.Seconds()/float64(tpp))
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	cases := 20_000
+	if testing.Short() {
+		cases = 2000
+	}
+	for i := 0; i < cases; i++ {
+		dt := dts[rng.Intn(len(dts))]
+		if rng.Intn(4) == 0 {
+			dt = math.Ldexp(1+rng.Float64(), -rng.Intn(30))
+		}
+		// budget bounds the ticks the reference loop runs.
+		budget := 1 + rng.Intn(1<<rng.Intn(19))
+		var s float64
+		switch rng.Intn(4) {
+		case 0:
+			s = 0
+		case 1: // on the tick grid, then some ticks of clock drift
+			s, _ = tickLoopClock(float64(rng.Intn(1<<20))*dt, dt, 1+rng.Intn(1000), inf, inf)
+		case 2: // just below a power of two: the run crosses binades
+			s = math.Max(0, math.Ldexp(1, rng.Intn(24)-12)-float64(1+rng.Intn(budget))*dt)
+		default:
+			s = rng.Float64() * 3600
+		}
+		// A bound on a value the loop reaches, or one ulp to either side.
+		reached, _ := tickLoopClock(s, dt, budget, inf, inf)
+		reached = []float64{reached, math.Nextafter(reached, inf), math.Nextafter(reached, 0)}[rng.Intn(3)]
+		arbitrary := s + rng.Float64()*float64(budget)*dt
+		// Inactive bounds: none of them ends the run before the binding one.
+		slack := []float64{inf, nan, s + 2*float64(budget+2)*dt}
+		n := []int{budget + 1 + rng.Intn(1<<20), 1 << 30}[rng.Intn(2)]
+		stop, maxTime := slack[rng.Intn(3)], slack[rng.Intn(3)]
+		switch rng.Intn(5) {
+		case 0:
+			n = budget
+		case 1:
+			stop = arbitrary
+		case 2:
+			stop = reached
+		case 3:
+			maxTime = arbitrary
+		default:
+			maxTime = reached
+		}
+		checkClock(t, s, dt, n, stop, maxTime)
+	}
+}
+
+// FuzzAdvanceClock checks advanceClock against the tick loop on
+// arbitrary float inputs; n is folded below 1<<20 so the reference
+// loop always ends quickly.
+func FuzzAdvanceClock(f *testing.F) {
+	ulp1 := math.Ldexp(1, -52)
+	f.Add(0.0, 4e-5, int64(1<<30), 20.0, 3600.0)
+	f.Add(19.99, 4e-5, int64(250), 20.0, 3600.0)
+	f.Add(1+ulp1, 1.5*ulp1, int64(1000), math.Inf(1), math.Inf(1))
+	f.Add(2-64*ulp1, 3*ulp1, int64(1000), math.NaN(), 2.0)
+	f.Add(1e-310, 1e-312, int64(1<<19), 3e-308, math.Inf(1))
+	f.Fuzz(func(t *testing.T, s, dt float64, n int64, stop, maxTime float64) {
+		checkClock(t, s, dt, int(n%(1<<20)), stop, maxTime)
+	})
 }

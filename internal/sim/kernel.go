@@ -173,8 +173,11 @@ type kernel struct {
 	passiveWin bool
 
 	// Windowed-metrics collection (enabled by Config.MetricsWindow).
+	// seriesEnd is the run's expected end (0 = unknown): the first
+	// window close sizes the series for it.
 	collect   bool
 	series    metrics.WindowedSeries
+	seriesEnd float64
 	winStart  float64
 	winArr    int
 	winDep    int
@@ -232,6 +235,7 @@ func newKernel(cfg Config, scn scenario.Scenario, pol Dynamic) (*kernel, error) 
 	}
 	if k.collect {
 		k.series.Width = cfg.MetricsWindow.Seconds()
+		k.seriesEnd = k.doneAt
 	}
 	if len(initial) > cfg.Plat.Cores {
 		// Open-system scenarios (their apps depart and free cores) queue
@@ -492,6 +496,13 @@ func (k *kernel) closeWindow(end float64) {
 	}
 	p.Unfairness, p.STP, p.MeanSlowdown, p.MinSlowdown, p.MaxSlowdown = metrics.SlowdownStats(k.sdScratch)
 	p.Samples = len(k.sdScratch)
+	if k.series.Points == nil && k.seriesEnd > 0 {
+		// Size the series once for the expected run (never past
+		// MaxSimTime) instead of growing it by repeated copies. Done at
+		// the first close, so a series that never closes stays nil.
+		span := min(k.seriesEnd, k.cfg.MaxSimTime.Seconds())
+		k.series.Points = make([]metrics.WindowPoint, 0, int(span/k.series.Width)+2)
+	}
 	k.series.Add(p)
 	k.winStart = end
 	k.winArr, k.winDep, k.winRuns = 0, 0, 0
@@ -919,9 +930,10 @@ func (k *kernel) horizonTicks() int {
 //   - the last tick horizonTicks guarantees free of instruction events
 //     (window delivery, run completion, phase boundary), shrunk by a
 //     relative slack that dominates the accumulated per-tick rounding
-//     of the real clock (simTime sums dt tick by tick; the closed form
-//     here may land up to ~2^-32 relative above the true boundary, and
-//     an arrival in that gap must still count as due).
+//     of the real clock (simTime equals the tick-by-tick sum of dt;
+//     the n·dt product here may land up to ~2^-32 relative above the
+//     true boundary, and an arrival in that gap must still count as
+//     due).
 //
 // Metrics-window closes deliberately do not bound H: they are pure
 // recording, replayed bit-identically inside the catch-up runUntil.
@@ -969,11 +981,12 @@ func (k *kernel) nextEventTime() float64 {
 // Bit-exactness: the inner loop keeps the per-tick float carry ops in
 // the legacy op order and expression shape (per-app accumulators are
 // independent, so app-major iteration equals the legacy tick-major
-// order), the clock accumulates tick by tick (a closed-form n·dt would
-// round differently), and the integer counter deltas are summed locally
-// and issued as one batched pmc add per app per horizon — exact because
-// integer sums are associative and occupancy adopts the latest reading
-// (pinned in internal/pmc).
+// order), the clock lands on exactly the value the legacy tick-by-tick
+// sum reaches (advanceClock jumps it per binade, not per tick; a naive
+// closed-form n·dt would round differently), and the integer counter
+// deltas are summed locally and issued as one batched pmc add per app
+// per horizon — exact because integer sums are associative and
+// occupancy adopts the latest reading (pinned in internal/pmc).
 //
 //lfoc:hotpath
 func (k *kernel) advanceHorizon(until, maxTime float64) (bool, error) {
@@ -996,14 +1009,8 @@ func (k *kernel) advanceHorizon(until, maxTime float64) (bool, error) {
 	if k.doneAt > 0 && k.doneAt < stop {
 		stop = k.doneAt
 	}
-	ticks := 0
-	for {
-		k.simTime += k.dt
-		ticks++
-		if ticks >= n || k.simTime >= stop || k.simTime > maxTime {
-			break
-		}
-	}
+	var ticks int
+	k.simTime, ticks = advanceClock(k.simTime, k.dt, n, stop, maxTime)
 
 	anyChange := false
 	for _, a := range k.actives {
@@ -1069,6 +1076,84 @@ func (k *kernel) advanceHorizon(until, maxTime float64) (bool, error) {
 		anyChange = anyChange || changed
 	}
 	return anyChange, nil
+}
+
+// advanceClock advances the clock s by whole ticks of dt up to the
+// first tick that completes n ticks, reaches stop or passes maxTime. It
+// returns the same clock and tick count, bit for bit, as the plain loop
+//
+//	for { s += dt; ticks++; if ticks >= n || s >= stop || s > maxTime { break } }
+//
+// but in O(binades crossed) float operations instead of O(ticks).
+//
+// Exactness argument (carryGrid's, applied to the clock). Every float
+// in one binade [2^e, 2^(e+1)) is a multiple of u = 2^(e−52), and the
+// bit pattern of a non-negative float there is bits(2^e) + (s/u − 2^52):
+// affine in M = s/u and, like all non-negative floats, ordered as the
+// values are. If the exact sum s + dt = (M + r)·u stays in the binade,
+// rounding to nearest gives fl(s + dt) = (M + D)·u with D = round(r),
+// the same D for every M — except in an exact half-ulp tie (frac(r) =
+// ½), where ties-to-even picks D = q or q+1 (q = ⌊r⌋) by the parity of
+// M + q. One tied step always lands on an even M, and from an even M
+// every tied step is the same even D. So when two consecutive steps
+// inside the binade are equal (clockJump checks this), the step stays
+// constant until the binade top: tick j lands on bits(s) + j·D, and the
+// first tick reaching stop or passing maxTime is an integer bound on
+// the same bit patterns. The jump stops one tick short of the binade
+// top and of every exit; the next plain tick crosses the binade or
+// exits. Subnormals share the grid 2^-1074 and form one more such
+// binade, so s = 0 needs no special case.
+//
+//lfoc:hotpath
+func advanceClock(s, dt float64, n int, stop, maxTime float64) (float64, int) {
+	ticks := 0
+	for {
+		s += dt
+		ticks++
+		if ticks >= n || s >= stop || s > maxTime {
+			return s, ticks
+		}
+		var j int
+		s, j = clockJump(s, dt, n-ticks-1, stop, maxTime)
+		ticks += j
+	}
+}
+
+// clockJump advances a clock s that has not yet exited advanceClock's
+// loop by the largest number of ticks, at most rem, that provably stay
+// inside s's binade and short of every exit (see advanceClock). It
+// returns s and 0 when the step cannot be proven constant: s is
+// negative or not finite, the next two ticks leave the binade, or they
+// differ (a half-ulp tie from an odd grid point, which the next plain
+// tick resolves).
+//
+//lfoc:hotpath
+func clockJump(s, dt float64, rem int, stop, maxTime float64) (float64, int) {
+	b := math.Float64bits(s)
+	if rem <= 0 || b >= 0x7ff<<52 { // sign bit set, infinite or NaN
+		return s, 0
+	}
+	top := (b>>52 + 1) << 52 // bits of the binade's upper edge
+	b1 := math.Float64bits(s + dt)
+	b2 := math.Float64bits(math.Float64frombits(b1) + dt)
+	if b1 < b || b2 >= top || b2-b1 != b1-b {
+		return s, 0
+	}
+	d := b1 - b
+	if d == 0 {
+		return s, rem // a stalled clock reaches no exit it has not reached
+	}
+	// The last bit pattern a jump may land on: inside the binade, below
+	// stop and not past maxTime.
+	last := top - 1
+	if !math.IsNaN(stop) { // stop > s ≥ 0
+		last = min(last, math.Float64bits(stop)-1)
+	}
+	if !math.IsNaN(maxTime) { // maxTime ≥ s ≥ 0; Abs folds −0 onto +0
+		last = min(last, math.Float64bits(math.Abs(maxTime)))
+	}
+	k := min(uint64(rem), (last-b)/d)
+	return math.Float64frombits(b + k*d), int(k)
 }
 
 // advanceInsnsChain advances one application's instruction and

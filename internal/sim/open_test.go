@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -357,5 +358,47 @@ func TestOpenHorizonKeepsUnadmittedArrivalsVisible(t *testing.T) {
 	}
 	if unadmitted != 8 {
 		t.Errorf("%d unadmitted arrivals reported, want 8 (2 cores)", unadmitted)
+	}
+}
+
+// TestReserveWindowsChangesNoResult pins that reserving the metrics
+// series is invisible in results: reserving for the last arrival, for
+// less than one window's worth of the run, or far beyond it reports
+// exactly what a machine without a reservation reports, and a machine
+// that never closes a window keeps a nil series.
+func TestReserveWindowsChangesNoResult(t *testing.T) {
+	cfg := openConfig()
+	pool := openPool("lbm06", "povray06", "xalancbmk06")
+	run := func(reserve float64, arrivals int) *sim.OpenResult {
+		t.Helper()
+		m, err := sim.NewOpenMachine(cfg, policy.NewStockDynamic(cfg.Plat.Ways), "reserve", nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reserve > 0 {
+			m.ReserveWindows(reserve)
+		}
+		for i := 0; i < arrivals; i++ {
+			arr := scenario.Arrival{Time: float64(i) * 0.5, Spec: pool[i%len(pool)]}
+			if err := m.AdvanceTo(arr.Time); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Inject(arr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Result()
+	}
+	ref := run(0, 6)
+	for _, end := range []float64{2.5, 0.05, 1000} {
+		if got := run(end, 6); !reflect.DeepEqual(ref, got) {
+			t.Errorf("ReserveWindows(%g) changed the result", end)
+		}
+	}
+	if res := run(10, 0); res.Series.Points != nil {
+		t.Errorf("a machine that closed no window reports %d points, want a nil series", len(res.Series.Points))
 	}
 }

@@ -75,6 +75,16 @@ func NewOpenMachine(cfg Config, pol Dynamic, name string, initial []*appmodel.Sp
 	return &OpenMachine{k: k, feed: feed}, nil
 }
 
+// ReserveWindows sizes the machine's metrics series for a run that is
+// expected to last until simulated time end (capped by the horizon), so
+// the series is allocated once instead of growing by repeated copies.
+// It changes no result. Call it before the machine first advances.
+func (m *OpenMachine) ReserveWindows(end float64) {
+	if m.k.doneAt == 0 || end < m.k.doneAt {
+		m.k.seriesEnd = end
+	}
+}
+
 // Inject schedules one arrival on this machine. Arrivals must be
 // injected in nondecreasing time order and before Drain.
 func (m *OpenMachine) Inject(arr scenario.Arrival) error {
