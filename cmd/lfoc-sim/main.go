@@ -27,9 +27,9 @@
 // -duration simulated seconds, run one instruction quota, and depart.
 // Results are per-app slowdowns at departure plus windowed
 // unfairness/STP/throughput series. -sweep compares stock/dunn/lfoc on
-// identical traces across a list of rates. -seed makes every open run
-// reproducible; -json writes the machine-readable result (mirroring
-// lfoc-bench -json).
+// identical traces across a list of rates (see "Sweeps" below). -seed
+// makes every open run reproducible; -json writes the machine-readable
+// result (mirroring lfoc-bench -json).
 //
 // -machines N spreads the arrival stream across a fleet of N identical
 // machines, each running its own instance of -policy; -placement picks
@@ -40,9 +40,7 @@
 // default platform resized to that way/core count, with its -policy
 // instance built for its own platform. Cluster JSON output includes
 // the per-machine results (with per-machine platform/cores/ways) and
-// windowed series. -machines with -sweep runs the placement ×
-// partitioning grid at each rate; an explicit -placement or -policy
-// narrows the corresponding grid axis.
+// windowed series.
 //
 // Cluster runs advance the fleet through a lazy event queue: only
 // machines whose next-event horizon has passed are touched per
@@ -66,9 +64,7 @@
 // tradeoff; negative disables migration); failed machines requeue them
 // with exponential backoff bounded by -max-retries. The identical
 // (seed, trace, schedule) inputs reproduce the identical run at any
-// -machines/worker configuration. With -sweep, the lifecycle flags turn
-// the placement × policy grid into a chaos sweep: every cell faces the
-// same trace and the same disruption schedule.
+// -machines/worker configuration.
 //
 // -workload-spec replaces -arrivals with a declarative scenario file
 // (YAML or JSON, see docs/workload-spec.md): cohorts with diurnal rate
@@ -83,9 +79,15 @@
 // — record once, then replay under different -placement/-policy/
 // -machines settings to compare them on the identical stream. A trace
 // bakes in its -scale (replay adopts it; a conflicting explicit -scale
-// is an error). -spec-sweep runs a list of spec files against every
-// partitioning policy (over a cluster with -machines) — the spec-file
-// counterpart of -sweep.
+// is an error).
+//
+// Sweeps: -sweep (a list of Poisson rates for -workload) and -spec-sweep
+// (a list of spec files, each with its own window and seed) run every
+// placement × partitioning-policy cell on each identical trace. Every
+// cell is the cluster run the same fleet flags (-machines,
+// -machine-mix, -shards, the lifecycle flags) would make on its own,
+// one machine included; an explicit -placement or -policy narrows its
+// grid axis. One table per trace, and one JSON row per cell.
 //
 // -checkpoint <path> makes a cluster run crash-safe: the run's full
 // coordinate (per-machine kernel state, placement state, lifecycle
@@ -100,8 +102,8 @@
 // cluster run the same way: the run pauses at the next arrival
 // boundary, writes the final checkpoint, emits the partial result, and
 // exits 130 (a second signal kills immediately). Each of these flags
-// implies cluster mode; none is compatible with -sweep/-spec-sweep or
-// -shards.
+// implies cluster mode; none is compatible with a sweep or -shards,
+// and neither is -record-assignments with a sweep.
 //
 // -cpuprofile/-memprofile write pprof profiles of the run, so perf
 // investigations start from a profile instead of a guess.
@@ -175,30 +177,10 @@ type clusterJSON struct {
 	*cluster.Result
 }
 
-// sweepJSON is the -json schema of a -sweep comparison.
+// sweepJSON is the -json schema of a -sweep or -spec-sweep grid.
 type sweepJSON struct {
 	Scale uint64 `json:"scale"`
-	harness.ChurnData
-}
-
-// clusterSweepJSON is the -json schema of a cluster -sweep grid (one
-// entry per rate).
-type clusterSweepJSON struct {
-	Scale uint64                     `json:"scale"`
-	Grids []harness.ClusterSweepData `json:"grids"`
-}
-
-// specSweepJSON is the -json schema of a -spec-sweep grid.
-type specSweepJSON struct {
-	Scale uint64 `json:"scale"`
-	harness.SpecSweepData
-}
-
-// chaosSweepJSON is the -json schema of a chaos -sweep grid (one entry
-// per rate).
-type chaosSweepJSON struct {
-	Scale uint64                   `json:"scale"`
-	Grids []harness.ChaosSweepData `json:"grids"`
+	harness.SweepData
 }
 
 // checkpointFlags bundles the crash-safety flags of a cluster run.
@@ -275,10 +257,10 @@ func main() {
 		workloadSpec  = flag.String("workload-spec", "", "declarative workload spec file (YAML/JSON): generates the open-system arrival trace (see docs/workload-spec.md)")
 		recordTrace   = flag.String("record-trace", "", "write the open-system arrival trace to this file (replay it with -replay-trace)")
 		replayTrace   = flag.String("replay-trace", "", "replay a recorded arrival trace bit-exactly instead of generating one")
-		specSweep     = flag.String("spec-sweep", "", "comma-separated workload spec files: run every spec against every policy (over a cluster with -machines)")
+		specSweep     = flag.String("spec-sweep", "", "comma-separated workload spec files: run every spec against every placement × policy cell")
 		duration      = flag.Float64("duration", 10, "open-system arrival window in simulated seconds")
 		seed          = flag.Int64("seed", 1, "seed for the open-system arrival trace")
-		sweep         = flag.String("sweep", "", "comma-separated Poisson rates: compare stock/dunn/lfoc across the load sweep")
+		sweep         = flag.String("sweep", "", "comma-separated Poisson rates: run every placement × policy cell at each rate")
 		machines      = flag.Int("machines", 1, "cluster size: spread arrivals across this many machines")
 		mix           = flag.String("machine-mix", "", "heterogeneous fleet spec: <count>x<ways>way[<cores>c],... e.g. 2x11way,2x7way (implies cluster mode)")
 		placement     = flag.String("placement", "", "cluster placement policy: rr | least | fair (implies cluster mode)")
@@ -345,8 +327,12 @@ func main() {
 	if ckf.every > 0 && ckf.path == "" {
 		fail(fmt.Errorf("-checkpoint-every needs -checkpoint"))
 	}
-	if ckf.active() && (*sweep != "" || *specSweep != "") {
+	sweeping := *sweep != "" || *specSweep != ""
+	if ckf.active() && sweeping {
 		fail(fmt.Errorf("-checkpoint/-resume/-stop-after apply to a single cluster run, not a sweep"))
+	}
+	if *recordAssign && sweeping {
+		fail(fmt.Errorf("-record-assignments applies to a single cluster run: sweep rows report per-machine arrival counts, not assignment logs"))
 	}
 	if ckf.active() && *shards > 1 {
 		fail(fmt.Errorf("-checkpoint/-resume/-stop-after are incompatible with -shards (a sharded run has no single pause point)"))
@@ -356,7 +342,7 @@ func main() {
 	if *placement == "" {
 		*placement = "rr"
 	}
-	if clustered && *sweep == "" && *specSweep == "" && sources == 0 {
+	if clustered && !sweeping && sources == 0 {
 		fail(fmt.Errorf("cluster mode needs an open system: set -arrivals, -workload-spec, -replay-trace or -sweep"))
 	}
 	if *mtbf < 0 {
@@ -374,33 +360,17 @@ func main() {
 		retryBackoff:  *retryBackoff,
 		migrationCost: *migrationCost,
 	}
-
-	cfg := harness.DefaultConfig()
-	cfg.Scale = *scale
-
 	if *specSweep != "" {
 		if *workload != "" || *apps != "" || *sweep != "" || sources > 0 || *recordTrace != "" {
 			fail(fmt.Errorf("-spec-sweep runs standalone: it conflicts with -workload, -apps, -sweep, -arrivals, -workload-spec, -replay-trace and -record-trace"))
 		}
-		if lifecycle.active() {
-			fail(fmt.Errorf("-spec-sweep does not take the lifecycle flags"))
+		if explicit["duration"] || explicit["seed"] {
+			fail(fmt.Errorf("-duration and -seed conflict with -spec-sweep: each spec defines its own window and seed"))
 		}
-		var paths []string
-		for _, p := range strings.Split(*specSweep, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				paths = append(paths, p)
-			}
-		}
-		var policies []string
-		if explicit["policy"] {
-			policies = []string{*polName}
-		}
-		d, err := harness.SpecSweep(cfg, paths, policies, *machines, *placement)
-		exitOn(err)
-		fmt.Println(d.Render())
-		writeJSON(*jsonOut, specSweepJSON{Scale: cfg.Scale, SpecSweepData: d})
-		return
 	}
+
+	cfg := harness.DefaultConfig()
+	cfg.Scale = *scale
 
 	// With -machine-mix the fleet size comes from the mix; an explicit
 	// -machines must agree with it (checked by the cluster layer), while
@@ -426,10 +396,10 @@ func main() {
 			names = append(names, name)
 		}
 		w = workloads.Workload{Name: *apps, Benchmarks: names}
-	case *workloadSpec != "" || *replayTrace != "":
+	case *workloadSpec != "" || *replayTrace != "" || *specSweep != "":
 		// The spec or trace carries its own applications.
 	default:
-		fail(fmt.Errorf("need -workload, -apps, -workload-spec or -replay-trace"))
+		fail(fmt.Errorf("need -workload, -apps, -workload-spec, -replay-trace or -spec-sweep"))
 	}
 
 	// Open and cluster runs build their scenario here — one place for
@@ -438,7 +408,7 @@ func main() {
 	// stream the run is about to face.
 	var scn *scenario.Open
 	scnSeed := *seed
-	if *sweep == "" && sources > 0 {
+	if !sweeping && sources > 0 {
 		switch {
 		case *replayTrace != "":
 			tr, err := workloads.ReadTraceFile(*replayTrace)
@@ -472,62 +442,76 @@ func main() {
 	}
 
 	switch {
-	case *sweep != "":
-		if *workload == "" {
-			fail(fmt.Errorf("-sweep needs -workload"))
+	case sweeping:
+		// Every cell runs the cluster template a single run with the same
+		// flags would; an explicit -placement or -policy narrows its grid
+		// axis (and an invalid name fails the run rather than being
+		// ignored).
+		e := harness.Experiment{Cluster: clusterConfig(cfg, fleetSize, *mix, *shards, lifecycle, *seed)}
+		if explicit["placement"] {
+			e.Placements = []string{*placement}
 		}
-		var rates []float64
-		for _, s := range strings.Split(*sweep, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			exitOn(err)
-			rates = append(rates, r)
+		if explicit["policy"] {
+			e.Policies = []string{*polName}
 		}
-		if clustered {
-			// The grid defaults to every placement × every policy; an
-			// explicit -placement or -policy narrows its axis (and an
-			// invalid name fails the run rather than being ignored).
-			var placements, policies []string
-			if explicit["placement"] {
-				placements = []string{*placement}
-			}
-			if explicit["policy"] {
-				policies = []string{*polName}
-			}
-			if lifecycle.active() {
-				// Chaos sweep: the same grid, every cell facing the same
-				// trace plus the same disruption schedule.
-				out := chaosSweepJSON{Scale: cfg.Scale}
-				for _, rate := range rates {
-					d, err := harness.ChaosSweep(cfg, w.Name, fleetSize, *mix, placements, policies,
-						[]float64{lifecycle.mtbf}, lifecycle.events, lifecycle.migrationCost, rate, *duration, *seed)
-					exitOn(err)
-					fmt.Println(d.Render())
-					out.Grids = append(out.Grids, d)
+		if *specSweep != "" {
+			for _, p := range strings.Split(*specSweep, ",") {
+				if p = strings.TrimSpace(p); p != "" {
+					e.Specs = append(e.Specs, p)
 				}
-				writeJSON(*jsonOut, out)
-				break
 			}
-			out := clusterSweepJSON{Scale: cfg.Scale}
-			for _, rate := range rates {
-				d, err := harness.ClusterSweep(cfg, w.Name, fleetSize, *mix, placements, policies, rate, *duration, *seed)
-				exitOn(err)
-				fmt.Println(d.Render())
-				out.Grids = append(out.Grids, d)
-			}
-			writeJSON(*jsonOut, out)
 		} else {
-			d, err := harness.Churn(cfg, w.Name, rates, *duration, *seed)
-			exitOn(err)
-			fmt.Println(d.Render())
-			writeJSON(*jsonOut, sweepJSON{Scale: cfg.Scale, ChurnData: d})
+			if *workload == "" {
+				fail(fmt.Errorf("-sweep needs -workload"))
+			}
+			e.Workload, e.Window, e.Seed = w.Name, *duration, *seed
+			for _, s := range strings.Split(*sweep, ",") {
+				r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+				exitOn(err)
+				e.Rates = append(e.Rates, r)
+			}
 		}
+		d, err := harness.Sweep(cfg, e)
+		exitOn(err)
+		fmt.Println(d.Render())
+		writeJSON(*jsonOut, sweepJSON{Scale: cfg.Scale, SweepData: d})
 	case clustered:
-		runCluster(cfg, w, *polName, *placement, fleetSize, *mix, scn, scnSeed, *jsonOut, lifecycle, *shards, *recordAssign, ckf)
+		ccfg := clusterConfig(cfg, fleetSize, *mix, *shards, lifecycle, scnSeed)
+		ccfg.RecordAssignments = *recordAssign
+		runCluster(cfg, ccfg, *placement, scn, ckf, *jsonOut, clusterJSON{Workload: w.Name, Policy: *polName,
+			Scale: cfg.Scale, Seed: scnSeed, Mix: *mix, Events: lifecycle.events, MTBF: lifecycle.mtbf})
 	case scn != nil:
 		runOpen(cfg, w, *polName, scn, scnSeed, *jsonOut)
 	default:
 		runClosed(cfg, w, *polName, *jsonOut)
 	}
+}
+
+// clusterConfig builds the cluster template of a run or sweep from the
+// fleet and lifecycle flags, so a sweep cell honours exactly the flags
+// a single run does. The lifecycle's JoinPolicy is left to the caller,
+// which knows the partitioning policy; seed drives the failure process.
+func clusterConfig(cfg harness.Config, machines int, mix string, shards int, lc lifecycleConfig, seed int64) cluster.Config {
+	ccfg := cluster.Config{Sim: cfg.SimConfig(), Machines: machines, Shards: shards}
+	if mix != "" {
+		var err error
+		ccfg.Fleet, err = cluster.ParseMachineMix(mix, ccfg.Sim)
+		exitOn(err)
+	}
+	if lc.active() {
+		cevents, err := harness.ClusterEvents(lc.events)
+		exitOn(err)
+		ccfg.Lifecycle = &cluster.Lifecycle{
+			Events:        cevents,
+			MTBF:          lc.mtbf,
+			FailureSeed:   seed,
+			MaxRetries:    lc.maxRetries,
+			RetryBackoff:  lc.retryBackoff,
+			MigrationCost: lc.migrationCost,
+			Autoscale:     lc.autoscale,
+		}
+	}
+	return ccfg
 }
 
 func runClosed(cfg harness.Config, w workloads.Workload, polName, jsonOut string) {
@@ -634,11 +618,11 @@ func runOpen(cfg harness.Config, w workloads.Workload, polName string, scn *scen
 	writeJSON(jsonOut, openJSON{Workload: w.Name, Policy: polName, Scale: cfg.Scale, Seed: seed, OpenResult: res})
 }
 
-func runCluster(cfg harness.Config, w workloads.Workload, polName, placement string, machines int, mix string, scn *scenario.Open, seed int64, jsonOut string, lc lifecycleConfig, shards int, recordAssignments bool, ckf checkpointFlags) {
+func runCluster(cfg harness.Config, ccfg cluster.Config, placement string, scn *scenario.Open, ckf checkpointFlags, jsonOut string, out clusterJSON) {
 	pl, err := cluster.NewPlacement(placement, cfg.Plat)
 	exitOn(err)
-	ccfg := cluster.Config{Sim: cfg.SimConfig(), Machines: machines, Placement: pl,
-		Shards: shards, RecordAssignments: recordAssignments, StopAfter: ckf.stopAfter}
+	ccfg.Placement = pl
+	ccfg.StopAfter = ckf.stopAfter
 	if ckf.path != "" {
 		ccfg.Checkpoint = &cluster.CheckpointConfig{Path: ckf.path, Every: ckf.every}
 	}
@@ -653,7 +637,7 @@ func runCluster(cfg harness.Config, w workloads.Workload, polName, placement str
 	// immediately. Sharded runs have no single pause point and keep the
 	// default signal disposition.
 	var signaled atomic.Bool
-	if shards <= 1 {
+	if ccfg.Shards <= 1 {
 		cancel := &sim.CancelFlag{}
 		ccfg.Cancel = cancel
 		sigc := make(chan os.Signal, 2)
@@ -668,47 +652,29 @@ func runCluster(cfg harness.Config, w workloads.Workload, polName, placement str
 			os.Exit(130)
 		}()
 	}
-	if mix != "" {
-		ccfg.Fleet, err = cluster.ParseMachineMix(mix, ccfg.Sim)
-		exitOn(err)
-	}
 	sims, err := ccfg.MachineConfigs()
 	exitOn(err)
-	if lc.active() {
-		cevents, err := harness.ClusterEvents(lc.events)
-		exitOn(err)
-		ccfg.Lifecycle = &cluster.Lifecycle{
-			Events:        cevents,
-			MTBF:          lc.mtbf,
-			FailureSeed:   seed,
-			MaxRetries:    lc.maxRetries,
-			RetryBackoff:  lc.retryBackoff,
-			MigrationCost: lc.migrationCost,
-			Autoscale:     lc.autoscale,
-			JoinPolicy: func(i int, mc sim.Config) (sim.Dynamic, error) {
-				pol, _, err := cfg.NewDynamicPolicyFor(polName, mc.Plat)
-				return pol, err
-			},
-		}
+	// Per-machine platform: a heterogeneous fleet needs each policy
+	// instance built for its machine's own way count.
+	newPolicy := func(mc sim.Config) (sim.Dynamic, error) {
+		pol, _, err := cfg.NewDynamicPolicyFor(out.Policy, mc.Plat)
+		return pol, err
 	}
-	res, err := cluster.Run(ccfg,
-		scn, func(i int) (sim.Dynamic, error) {
-			// Per-machine platform: a heterogeneous fleet needs each
-			// policy instance built for its machine's own way count.
-			pol, _, err := cfg.NewDynamicPolicyFor(polName, sims[i].Plat)
-			return pol, err
-		})
+	if ccfg.Lifecycle != nil {
+		ccfg.Lifecycle.JoinPolicy = func(_ int, mc sim.Config) (sim.Dynamic, error) { return newPolicy(mc) }
+	}
+	res, err := cluster.Run(ccfg, scn, func(i int) (sim.Dynamic, error) { return newPolicy(sims[i]) })
 	exitOn(err)
 
 	fleet := fmt.Sprintf("%d", res.Machines)
-	if mix != "" {
+	if out.Mix != "" {
 		fleet = fmt.Sprintf("%d (%s)", res.Machines, cluster.MixNames(sims))
 	}
 	if res.Shards > 1 {
 		fleet += fmt.Sprintf("   shards: %d", res.Shards)
 	}
 	fmt.Printf("scenario: %s   policy: %s   placement: %s   machines: %s   scale: 1/%d   seed: %d\n\n",
-		res.Scenario, polName, res.Placement, fleet, cfg.Scale, seed)
+		res.Scenario, out.Policy, res.Placement, fleet, cfg.Scale, out.Seed)
 	fmt.Printf("%-8s %6s %6s %9s %9s %9s %10s %10s %10s %10s\n",
 		"machine", "cores", "ways", "arrivals", "departed", "remaining", "wait p50", "wait p95", "wait max", "simulated")
 	for _, m := range res.PerMachine {
@@ -749,8 +715,8 @@ func runCluster(cfg harness.Config, w workloads.Workload, polName, placement str
 		fmt.Println()
 	}
 
-	writeJSON(jsonOut, clusterJSON{Workload: w.Name, Policy: polName, Scale: cfg.Scale, Seed: seed, Mix: mix,
-		Events: lc.events, MTBF: lc.mtbf, Result: res})
+	out.Result = res
+	writeJSON(jsonOut, out)
 
 	// A signal-interrupted run exits like an interrupted shell command
 	// (130), after the partial result and checkpoint are safely out. An

@@ -72,8 +72,8 @@ func BenchmarkKernelClosed(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelChurnSweep measures the open-churn sweep cell set of
-// harness.Churn — the S1 mix under seeded Poisson arrivals, each policy
+// BenchmarkKernelChurnSweep measures the cell set of a one-machine
+// open-churn sweep — the S1 mix under seeded Poisson arrivals, each policy
 // against the identical trace — on both advancement paths, at the
 // default TicksPerPeriod=250 and the harness's scale-50 cadences. The
 // DESIGN.md speedups quote these cells.
